@@ -214,7 +214,8 @@ def arank(f: MultilinearMap, max_points: int = DEFAULT_ENUM_GUARD) -> float:
 
 def exact_bias(f: MultilinearMap, max_points: int = DEFAULT_ENUM_GUARD) -> Fraction:
     rep = bias_report(f, max_points)
-    assert rep.bias_exact is not None
+    if rep.bias_exact is None:
+        raise ValueError("exact bias is defined for multilinear forms only")
     return rep.bias_exact
 
 

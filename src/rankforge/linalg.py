@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import LemmaViolationError
+
 
 def _as_mat(M, p: int) -> np.ndarray:
     A = np.array(M, dtype=np.int64) % p
@@ -86,5 +88,6 @@ def rank_factors(M, p: int):
     r = len(pivots)
     C = A[:, pivots].copy()
     R = R[:r].copy()
-    assert np.array_equal(C @ R % p, A)
+    if not np.array_equal(C @ R % p, A):
+        raise LemmaViolationError("CR decomposition does not reconstruct its matrix")
     return C, R

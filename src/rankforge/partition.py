@@ -22,6 +22,7 @@ import numpy as np
 
 from . import linalg
 from .analytic import ceil_neg_log
+from .errors import LemmaViolationError
 from .forms import (
     DEFAULT_ENUM_GUARD,
     MultilinearMap,
@@ -375,12 +376,14 @@ def prank_exact(
         if found is not None:
             witness = PartitionDecomposition(alpha, found)
             if not witness.verify():
-                raise AssertionError("search produced a non-reconstructing witness")
+                raise LemmaViolationError("search produced a non-reconstructing witness")
             size = len(witness)
-            assert size >= lovett, "witness below the analytic lower bound"
+            if size < lovett:
+                raise LemmaViolationError("witness below the analytic lower bound")
             if complete:
                 # depths below r were searched exhaustively
-                assert size == r
+                if size != r:
+                    raise LemmaViolationError(f"exhaustive search found a witness of size {size} at depth {r}")
                 return RankReport(r, r, True, witness, lovett, budget_box.used)
             if size == proven_lo:
                 return RankReport(size, size, True, witness, lovett, budget_box.used)
@@ -437,7 +440,7 @@ def bilinear_strong_decomposition(
             summands.append(PartitionSummand(frozenset([1]), beta, gamma))
     decomp = PartitionDecomposition(alpha, summands)
     if not decomp.verify():
-        raise AssertionError("bilinear decomposition failed to reconstruct")
+        raise LemmaViolationError("bilinear decomposition failed to reconstruct")
     ok = True
     if c is not None:
         if c <= 0:

@@ -18,7 +18,7 @@ import numpy as np
 from .analytic import CHI_TOL, exact_bias
 from .errors import DomainSizeError, LemmaViolationError
 from .field import PrimeField, is_prime
-from .forms import DEFAULT_ENUM_GUARD, MultilinearMap, Shape
+from .forms import DEFAULT_ENUM_GUARD, MultilinearMap, Shape, addition_table, digit_matrix
 from .partition import PartitionDecomposition
 
 POLARIZE_GUARD = 1 << 14   # n^d coefficient tuples
@@ -186,17 +186,17 @@ def polarize(f: PolyDense, degree: int | None = None) -> SymmetricForm:
 #  The amplification chain
 # ---------------------------------------------------------------------------
 
-def _point_grid(p: int, cols: int, count: int) -> np.ndarray:
-    codes = np.arange(count, dtype=np.int64)
-    out = np.empty((count, cols), dtype=np.int64)
-    for j in range(cols):
-        out[:, j] = (codes // p ** j) % p
-    return out
-
-
 def difference_table(f: PolyDense, d: int | None = None, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
     """Values of the signed subset sum of f over shifts x + sum_{i in S} y^i,
-    S over subsets of [d-1], on the full (x, y^1..y^{d-1}) domain."""
+    S over subsets of [d-1], on the full (x, y^1..y^{d-1}) domain.
+
+    Entry c of the flat int64 result belongs to the point whose base-p digits
+    of c are x (lowest n digits), then y^1, y^2, ...  The sum is the iterated
+    difference Delta_{y^1} ... Delta_{y^{d-1}} f(x), built one y at a time by
+    gathering the previous table through `addition_table(p, n)`; f is
+    evaluated only on F_p^n.
+    Besides the cached p^(2n) addition table, the last step holds the result
+    (N = p^(nd) words) and a table p^n times smaller."""
     d = f.degree if d is None else d
     if d < 2:
         raise ValueError("the difference table needs degree >= 2")
@@ -204,21 +204,15 @@ def difference_table(f: PolyDense, d: int | None = None, max_points: int = DEFAU
     N = p ** (n * d)
     if N > max_points:
         raise DomainSizeError(N, max_points, "difference table")
-    pts = _point_grid(p, n * d, N)
-    x = pts[:, :n]
-    ys = [pts[:, n * (i + 1) : n * (i + 2)] for i in range(d - 1)]
-    out = np.zeros(N, dtype=np.int64)
-    subsets = [[]]
-    for i in range(d - 1):
-        subsets += [s + [i] for s in subsets]
-    for S in subsets:
-        shift = x.copy()
-        for i in S:
-            shift = shift + ys[i]
-        vals = f.evaluate_many(shift % p)
-        sign = 1 if (d - 1 - len(S)) % 2 == 0 else p - 1
-        out = (out + sign * vals) % p
-    return out
+    add = addition_table(p, n)
+    table = f.evaluate_many(digit_matrix(p, n)).reshape(1, p ** n)  # rows: the y's added so far; columns: x
+    for _ in range(d - 1):
+        # the y added now lands just above x, so y^1, added last, sits lowest
+        step = np.take(table, add, axis=1)  # [Y, y, x] -> table[Y, x + y]
+        step -= table[:, None, :]
+        step %= p
+        table = step.reshape(-1, p ** n)
+    return table.reshape(N)
 
 
 @dataclass(frozen=True)
@@ -243,8 +237,7 @@ def cs_amplification_check(f: PolyDense, max_points: int = DEFAULT_ENUM_GUARD) -
     p, n = f.p, f.n
     field = PrimeField(p)
 
-    pts = _point_grid(p, n, p ** n)
-    fvals = f.evaluate_many(pts)
+    fvals = f.evaluate_many(digit_matrix(p, n))
     bias_f = complex(field.char_table[fvals].mean())
     c_pow = abs(bias_f) ** (1 << (d - 1))
 
@@ -294,7 +287,7 @@ def substitute_decomposition(decomp: PartitionDecomposition, max_points: int = D
     N = p ** n
     if N > max_points:
         raise DomainSizeError(N, max_points, "substitution check")
-    pts = _point_grid(p, n, N)
+    pts = digit_matrix(p, n)
     lhs = diagonal_poly(target).evaluate_many(pts)
     rhs = np.zeros(N, dtype=np.int64)
     for b, g in pairs:

@@ -520,8 +520,10 @@ def find_common_nonvanisher(v1, v2, us, p: int):
         z = c2
     else:
         z = (c1 + c2) % p
-    assert int(v1 @ z % p) != 0 and int(v2 @ z % p) != 0
-    assert not us or not (U @ z % p).any()
+    if int(v1 @ z % p) == 0 or int(v2 @ z % p) == 0:
+        raise LemmaViolationError("common nonvanisher vanishes on v1 or v2")
+    if us and (U @ z % p).any():
+        raise LemmaViolationError("common nonvanisher is not orthogonal to every u")
     return z % p
 
 
@@ -565,8 +567,8 @@ def solvability_check(xs, lam, p: int) -> SolvabilityReport:
 
     if (y is not None) != cond_ii:
         raise LemmaViolationError("solvability criterion sides disagree")
-    if y is not None:
-        assert np.array_equal(X @ y % p, lam)
+    if y is not None and not np.array_equal(X @ y % p, lam):
+        raise LemmaViolationError("solvability solution does not solve X y = lambda")
     return SolvabilityReport(y is not None, y, violating)
 
 
@@ -671,7 +673,8 @@ def multilinearize_variety(
         return t
 
     cur = system_table(constraints)
-    assert cur.any(), "pinned system lost the base point"
+    if not cur.any():
+        raise LemmaViolationError("pinned system lost the base point")
 
     for d in range(1, k + 1):
         v = _lex_least_point(shape, cur)
@@ -688,7 +691,8 @@ def multilinearize_variety(
                 nxt.append((J, sliced, val))
             else:
                 # constant constraint; holds at v by construction
-                assert int(g.evaluate([v[d - 1]])[0]) == val
+                if int(g.evaluate([v[d - 1]])[0]) != val:
+                    raise LemmaViolationError("constant constraint fails at the base point")
         # drop tautologies and duplicates
         seen = set()
         cleaned = []
@@ -705,7 +709,8 @@ def multilinearize_variety(
         if not cur.any():
             raise LemmaViolationError("homogenization emptied the variety")
 
-    assert all(val == 0 for _, _, val in constraints)
+    if any(val != 0 for _, _, val in constraints):
+        raise LemmaViolationError("homogenized constraints keep a nonzero value")
     forms = [(I, g) for I, g, _ in constraints]
     if len(forms) > bound:
         raise LemmaViolationError(

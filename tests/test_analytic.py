@@ -123,6 +123,11 @@ def test_multiaffine_bias_declines_arank():
     assert rep.arank is None and rep.bias_exact is None
 
 
+def test_multiaffine_exact_bias_rejected():
+    with pytest.raises(ValueError):
+        exact_bias(random_multiaffine(Shape(2, (2, 2)), 1, [3, 3]))
+
+
 def test_ceil_neg_log():
     assert ceil_neg_log(2, Fraction(1, 4)) == 2
     assert ceil_neg_log(2, Fraction(3, 4)) == 1

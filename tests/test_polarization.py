@@ -3,7 +3,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rankforge.errors import DomainSizeError
+from rankforge.forms import digit_matrix
 from rankforge.partition import prank_exact
 from rankforge.polarization import (
     PolyDense,
@@ -118,6 +122,60 @@ def test_difference_table_zero_poly_mean():
         for y in range(3):
             acc += field.character(((x + y) ** 2 - x ** 2) % 3)
     assert mid == pytest.approx(acc / 9)
+
+
+def _subset_sum_oracle(f, d):
+    """The signed subset sum evaluated point by point: one pass of f over all
+    of F_p^(nd) per subset S of [d-1]."""
+    p, n = f.p, f.n
+    pts = digit_matrix(p, n * d)
+    x = pts[:, :n]
+    ys = [pts[:, n * (i + 1) : n * (i + 2)] for i in range(d - 1)]
+    out = np.zeros(pts.shape[0], dtype=np.int64)
+    subsets = [[]]
+    for i in range(d - 1):
+        subsets += [s + [i] for s in subsets]
+    for S in subsets:
+        shift = x.copy()
+        for i in S:
+            shift = shift + ys[i]
+        sign = 1 if (d - 1 - len(S)) % 2 == 0 else p - 1
+        out = (out + sign * f.evaluate_many(shift % p)) % p
+    return out
+
+
+@st.composite
+def poly_and_degree(draw):
+    p, n, d = draw(st.sampled_from([(3, 2, 2), (3, 3, 2), (5, 2, 2), (5, 3, 2), (5, 2, 3),
+                                    (7, 2, 2), (7, 2, 3), (5, 2, 4)]))
+    exps = st.tuples(*[st.integers(0, p - 1)] * n)
+    terms = draw(st.dictionaries(exps, st.integers(1, p - 1), max_size=5))
+    return PolyDense(p, n, terms), d
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_and_degree())
+@example((PolyDense(5, 2, {(2, 1): 3, (1, 0): 2, (0, 0): 4}), 4))
+@example((PolyDense(7, 2, {(1, 1): 1, (0, 1): 5}), 3))  # d > f.degree
+def test_difference_table_matches_oracle(case):
+    f, d = case
+    table = difference_table(f, d)
+    oracle = _subset_sum_oracle(f, d)
+    assert table.dtype == oracle.dtype and np.array_equal(table, oracle)
+
+
+def test_difference_table_layout():
+    # f = x_0^2 x_1 + 3 x_1 over F_5; x = (1, 2) takes the lowest digits, y = (4, 3)
+    f = PolyDense(5, 2, {(2, 1): 1, (0, 1): 3})
+    table = difference_table(f, 2)
+    assert table[1 + 5 * 2 + 25 * 4 + 125 * 3] == (f.evaluate([0, 0]) - f.evaluate([1, 2])) % 5 == 2
+
+
+def test_difference_table_guard():
+    f = PolyDense(5, 2, {(2, 1): 1})
+    assert difference_table(f, 3, max_points=5 ** 6).size == 5 ** 6
+    with pytest.raises(DomainSizeError):
+        difference_table(f, 3, max_points=5 ** 6 - 1)
 
 
 def test_amplification_example_f3_xy():
