@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import linalg
 from .errors import LemmaViolationError
 from .field import PrimeField
 from .forms import (
@@ -26,10 +27,8 @@ from .forms import (
     MultilinearMap,
     Shape,
     as_multiaffine,
-    curry_last,
     digit_matrix,
     scalar_table,
-    value_table,
 )
 
 CHI_TOL = 1e-9
@@ -169,36 +168,70 @@ class BiasReport:
 
 
 def bias_report(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> BiasReport:
-    """Histogram-weighted character average, with the exact cross-check for
-    multilinear inputs: bias equals the density of the vanishing set of the
-    curried map, as an identity of integers."""
-    hist = value_histogram(f, max_points=max_points)
-    bias_c = hist.chi_average()
+    """Bias of a scalar map: exact and with its analytic rank for a multilinear
+    form (`_rank_count_report`), the histogram-weighted character average
+    otherwise."""
     if isinstance(f, MultilinearMap):
-        exact = hist.exact_bias()
-        vanish = None
-        if f.shape.k >= 2:
-            A = curry_last(f)
-            tableA = value_table(A, max_points)
-            vanish = int((~tableA.any(axis=-1)).sum())
-            if Fraction(vanish, A.shape.domain_size) != exact:
-                raise LemmaViolationError(
-                    "histogram bias disagrees with the vanishing density of the curried map"
-                )
-        else:
-            vanish = 1 if f.is_zero() else 0
-        if exact < 0 or (exact == 0 and f.shape.k >= 2):
-            # for k >= 2 the curried map vanishes at 0, so the bias is positive
-            raise LemmaViolationError("multilinear bias must be a positive rational")
-        if exact == 0:
-            # nonzero linear form: character sum cancels exactly
-            return BiasReport(hist, bias_c, exact, math.inf, vanish)
-        ar = plain_log(f.shape.p, exact.denominator) - plain_log(f.shape.p, exact.numerator)
-        return BiasReport(hist, bias_c, exact, ar, vanish)
-    # multiaffine: report the complex bias; arank is declined unless the value
-    # histogram happens to be balanced and positive (e.g. the map is a shifted
-    # multilinear form in disguise)
-    return BiasReport(hist, bias_c, None, None, None)
+        return _rank_count_report(f, max_points)
+    # multiaffine: report the complex bias; arank is declined
+    hist = value_histogram(f, max_points=max_points)
+    return BiasReport(hist, hist.chi_average(), None, None, None)
+
+
+def _slice_stack(f: MultilinearMap, max_points: int) -> np.ndarray:
+    """The matrices M(x) of the bilinear forms left by fixing all coordinates of a
+    k-linear form (k >= 2) but its two largest ones, a < b: a (p^S, n_a, n_b)
+    stack, where S sums the other dimensions.  The guard is on the stack's
+    p^S * n_a * n_b entries."""
+    shape = f.shape
+    p, dims = shape.p, shape.dims
+    a, b = sorted(sorted(range(shape.k), key=lambda i: dims[i])[-2:])
+    others = [i for i in range(shape.k) if i not in (a, b)]
+    shape.guard(p ** sum(dims[i] for i in others) * dims[a] * dims[b], max_points, "slice stack")
+    T = f.coeffs[..., 0].transpose(others + [a, b]).reshape(1, -1)
+    for i in others:
+        # contract the leading remaining coordinate with every point of G_i;
+        # sums of n_i products below p^2 fit int64 for any admitted Shape
+        T = np.matmul(digit_matrix(p, dims[i]), T.reshape(T.shape[0], dims[i], -1)) % p
+        T = T.reshape(-1, T.shape[-1])
+    return T.reshape(-1, dims[a], dims[b])
+
+
+def _rank_count_report(f: MultilinearMap, max_points: int) -> BiasReport:
+    """Exact bias, analytic rank, vanishing count and value histogram of a
+    multilinear form, from the ranks of its slice stack.
+
+    A bilinear form y^T M z has bias p^(-rank M), so E chi(f) = E_x p^(-rank M(x))
+    over the slice stack (Lovett 2019).  With P = p^(n_1 + ... + n_(k-1)) points
+    x_[k-1], the curried map x_[k-1] -> G_k vanishes V = bias * P times, and
+    f(x) = <A(x_[k-1]), x_k> is 0 on p^n_k points of G_k where A vanishes and on
+    p^(n_k - 1) elsewhere, so the histogram is
+    N_0 = V p^n_k + (P - V) p^(n_k - 1), every nonzero value (P - V) p^(n_k - 1).
+    All are integers; no point of the domain is enumerated.  The guard is
+    the slice stack's (see `_slice_stack`), and a histogram of p counts.
+    """
+    if f.m != 1:
+        raise ValueError("a bias needs a scalar-valued map")
+    shape = f.shape
+    p, dims = shape.p, shape.dims
+    shape.guard(p, max_points, "value histogram")
+    n_k = dims[-1]
+    P = p ** (sum(dims) - n_k)
+    if shape.k == 1:
+        vanish = 0 if f.coeffs.any() else 1  # the curried map is the coefficient vector
+    else:
+        stack = _slice_stack(f, max_points)
+        n_a, n_b = stack.shape[1:]
+        counts = np.bincount(linalg.rank_many(stack, p), minlength=min(n_a, n_b) + 1)
+        # E_x p^(-rank) * P: exponents are >= 0 since n_a, n_b are the two largest dims
+        vanish = sum(int(c) * p ** (n_a + n_b - n_k - r) for r, c in enumerate(counts))
+    nonzero = (P - vanish) * p ** (n_k - 1)
+    total = p ** sum(dims)
+    hist = ValueHistogram(p, (total - (p - 1) * nonzero,) + (nonzero,) * (p - 1), total)
+    exact = Fraction(vanish, P)
+    # a nonzero linear form has bias 0: its character sum cancels exactly
+    ar = math.inf if exact == 0 else plain_log(p, exact.denominator) - plain_log(p, exact.numerator)
+    return BiasReport(hist, hist.chi_average(), exact, ar, vanish)
 
 
 def bias(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> complex:

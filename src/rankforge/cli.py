@@ -39,9 +39,11 @@ from .forms import (
     random_multilinear,
     value_table,
 )
-from .partition import RankReport, prank_exact
+from .partition import DEFAULT_BUDGET, RankReport, prank_exact
 from .polarization import PolyDense, polarize
 from .varieties import Variety, bohr_external, bohr_external_sim, connectivity, density_bound_check
+
+BUDGET_HELP = "search budget, in solver unknowns summed over the leaves solved"
 
 SCATTER_COLUMNS = [
     "seed",
@@ -389,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("prank", help="exact partition rank with witness")
     sp.add_argument("--map", required=True)
     sp.add_argument("--rmax", type=int, default=6)
-    sp.add_argument("--budget-nodes", type=int, default=200_000)
+    sp.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     common(sp)
     sp.set_defaults(fn=cmd_prank)
 
@@ -435,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--rmax", type=int, default=6)
-    sp.add_argument("--budget-nodes", type=int, default=200_000)
+    sp.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     common(sp)
     sp.set_defaults(fn=cmd_scatter)
 
@@ -449,7 +451,8 @@ def main(argv=None) -> int:
         if getattr(args, "format", None) == "csv" and args.fn is not cmd_scatter:
             raise ValueError("csv output is only available for scatter")
         return args.fn(args)
-    except DomainSizeError as e:
+    except (DomainSizeError, OverflowError) as e:
+        # OverflowError: an exact count or denominator would outgrow its 64-bit guard
         print(f"resource guard: {e}", file=sys.stderr)
         return 3
     except LemmaViolationError as e:

@@ -267,7 +267,7 @@ def evaluate(f: Map, xs) -> np.ndarray:
 #  Full-domain value tables
 # ---------------------------------------------------------------------------
 
-def _part_grid(shape: Shape, I: frozenset, C: np.ndarray) -> np.ndarray:
+def part_grid(shape: Shape, I: frozenset, C: np.ndarray) -> np.ndarray:
     """Value grid of one part over G_I, broadcast-ready against the full domain."""
     p = shape.p
     Is = sorted(I)
@@ -298,7 +298,7 @@ def value_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
         parts = f.parts
     out = np.zeros(shape.sizes + (f.m,), dtype=np.int64)
     for I, C in parts.items():
-        out = out + _part_grid(shape, I, C)
+        out = out + part_grid(shape, I, C)
     return out % p
 
 
@@ -495,14 +495,42 @@ def map_to_json(f: Map) -> dict:
     }
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of JSON input; floats, bools and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_int_array(values, what: str) -> np.ndarray:
+    """A flat JSON list of integers as an int64 array, checked once for the whole array."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
+        raise ValueError(f"{what} must be a flat list of 64-bit integers")
+    return arr.astype(np.int64, copy=False)
+
+
 def map_from_json(obj: dict) -> Map:
-    shape = Shape(int(obj["p"]), tuple(int(n) for n in obj["dims"]))
-    m = int(obj.get("target_dim", 1))
+    if not isinstance(obj, dict):
+        raise ValueError("map JSON must be an object")
+    dims = obj["dims"]
+    if not isinstance(dims, list):
+        raise ValueError(f"dims must be a list of integers, got {dims!r}")
+    shape = Shape(json_int(obj["p"], "p"), tuple(json_int(n, "a dimension") for n in dims))
+    m = json_int(obj.get("target_dim", 1), "target_dim")
+    entries = obj.get("parts", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("parts must be a list of objects")
     parts = {}
-    for entry in obj.get("parts", []):
-        I = frozenset(int(i) for i in entry["subset"])
+    for entry in entries:
+        subset = entry["subset"]
+        if not isinstance(subset, list):
+            raise ValueError(f"subset must be a list of coordinates, got {subset!r}")
+        I = frozenset(json_int(i, "a subset coordinate") for i in subset)
+        if len(I) != len(subset) or any(not 1 <= i <= shape.k for i in I):
+            raise ValueError(f"subset {subset} is not a set of coordinates in 1..{shape.k}")
         want = tuple(shape.dims[i - 1] for i in sorted(I)) + (m,)
-        C = np.asarray(entry["coeffs"], dtype=np.int64).reshape(want)
+        C = json_int_array(entry["coeffs"], f"coeffs of part {sorted(I)}").reshape(want)
         if I in parts:
             raise ValueError(f"duplicate part for subset {sorted(I)}")
         parts[I] = C

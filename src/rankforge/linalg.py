@@ -45,6 +45,58 @@ def rank(M, p: int) -> int:
     return len(row_echelon(M, p)[1])
 
 
+def _inverse_many(a: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise a^(p-2) mod p by square-and-multiply: a^-1 for nonzero entries."""
+    out = np.ones_like(a)
+    base = a % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def rank_many(stack, p: int) -> np.ndarray:
+    """Ranks mod p of every matrix in a (B, r, c) stack, as an int64 array of length B.
+
+    Gaussian elimination on the whole batch at once, one numpy pass per
+    column.  Instead of swapping rows, each matrix marks its pivot rows as
+    used; a pivot clears its column in the rows not used yet.  Entries are
+    reduced mod p only where they are read (the pivot column and row), so a
+    pass is one multiply-subtract and entries stay below min(r, c) * p^2,
+    which is checked against int64 up front.
+    """
+    A = np.array(stack, dtype=np.int64)
+    if A.ndim != 3:
+        raise ValueError("expected a (B, r, c) stack of matrices")
+    if A.shape[2] > A.shape[1]:
+        # one pass per column, so eliminate along the shorter side
+        A = np.ascontiguousarray(A.transpose(0, 2, 1))
+    B, r, c = A.shape
+    if c * (p - 1) ** 2 + p > np.iinfo(np.int64).max:
+        raise ValueError(f"modulus {p} is too large for exact int64 elimination")
+    A %= p
+    used = np.zeros((B, r), dtype=bool)
+    batch = np.arange(B)
+    for j in range(c):
+        col = A[:, :, j] % p
+        cand = (col != 0) & ~used
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        src = cand.argmax(axis=1)
+        used[batch, src] |= has
+        # a matrix without a pivot in this column gets a zero pivot row: no-op
+        piv = A[batch, src, j + 1:] % p
+        piv *= (_inverse_many(col[batch, src], p) * has)[:, None]
+        piv %= p
+        factors = np.where(used, 0, col)
+        A[:, :, j + 1:] -= factors[:, :, None] * piv[:, None, :]
+    return used.sum(axis=1, dtype=np.int64)
+
+
 def in_row_span(v, rows, p: int) -> bool:
     """Whether v lies in the row span of `rows` over F_p."""
     A = _as_mat(rows, p) if len(rows) else np.zeros((0, len(v)), dtype=np.int64)

@@ -21,17 +21,17 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .analytic import ceil_neg_log
+from .analytic import ceil_neg_log, exact_bias
 from .errors import LemmaViolationError
 from .forms import (
     DEFAULT_ENUM_GUARD,
     MultilinearMap,
     Shape,
-    scalar_table,
+    part_grid,
 )
 
 MODE_CAP = 4096          # normalized factors enumerable per bipartition side
-DEFAULT_BUDGET = 200_000  # leaf solves
+DEFAULT_BUDGET = 200_000  # solver unknowns, summed over the leaves solved
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,9 @@ class PartitionSummand:
     gamma: MultilinearMap
 
     def value_grid(self, shape: Shape) -> np.ndarray:
-        from .forms import _part_grid
-
         comp = frozenset(range(1, shape.k + 1)) - self.subset
-        bg = _part_grid(shape, self.subset, self.beta.coeffs)
-        gg = _part_grid(shape, comp, self.gamma.coeffs)
+        bg = part_grid(shape, self.subset, self.beta.coeffs)
+        gg = part_grid(shape, comp, self.gamma.coeffs)
         return (bg * gg % shape.p)[..., 0]
 
     def coeff_tensor(self, shape: Shape) -> np.ndarray:
@@ -163,23 +161,13 @@ def is_partition_rank_le1(alpha: MultilinearMap) -> PartitionSummand | None:
 #  Analytic lower bound
 # ---------------------------------------------------------------------------
 
-def _bias_fraction_from_table(flat: np.ndarray, p: int) -> Fraction:
-    """Exact bias of a multilinear form from its flattened value table."""
-    n = flat.size
-    c0 = int(n - np.count_nonzero(flat))
-    # balanced tail: bias = (p*c0 - n) / (n*(p-1))
-    return Fraction(p * c0 - n, n * (p - 1))
-
-
 def lovett_lower_bound(alpha: MultilinearMap, max_points: int = DEFAULT_ENUM_GUARD) -> int:
     """ceil(arank(alpha)) via exact integer arithmetic; a partition-rank lower bound."""
     if not alpha.scalar:
         raise ValueError("needs a scalar form")
     if alpha.is_zero():
         return 0
-    flat = scalar_table(alpha, max_points).reshape(-1)
-    b = _bias_fraction_from_table(flat, alpha.shape.p)
-    return ceil_neg_log(alpha.shape.p, b)
+    return ceil_neg_log(alpha.shape.p, exact_bias(alpha, max_points))
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +313,11 @@ def prank_exact(
 ) -> RankReport:
     """Smallest number of rank-1 summands adding up to alpha, with a witness.
 
-    Iterative deepening starting from the analytic lower bound; the node
-    count is the number of leaf solves.  Returns the exact rank, or the
-    interval [lo, hi] with the best known witness for the upper endpoint.
+    Iterative deepening starting from the analytic lower bound.  The node
+    count, and the `budget` it is held to, is the number of solver unknowns
+    summed over the leaves solved (a rank-1 check counts 1).  Returns the
+    exact rank, or the interval [lo, hi] with the best known witness for the
+    upper endpoint.
     """
     if not alpha.scalar:
         raise ValueError("needs a scalar form")

@@ -18,7 +18,15 @@ import numpy as np
 from .analytic import CHI_TOL, exact_bias
 from .errors import DomainSizeError, LemmaViolationError
 from .field import PrimeField, is_prime
-from .forms import DEFAULT_ENUM_GUARD, MultilinearMap, Shape, addition_table, digit_matrix
+from .forms import (
+    DEFAULT_ENUM_GUARD,
+    MultilinearMap,
+    Shape,
+    addition_table,
+    digit_matrix,
+    json_int,
+    json_int_array,
+)
 from .partition import PartitionDecomposition
 
 POLARIZE_GUARD = 1 << 14   # n^d coefficient tuples
@@ -99,8 +107,14 @@ class PolyDense:
 
     @staticmethod
     def from_json(obj: dict) -> "PolyDense":
-        terms = {tuple(t["exp"]): int(t["c"]) for t in obj.get("terms", [])}
-        return PolyDense(int(obj["p"]), int(obj["n"]), terms)
+        if not isinstance(obj, dict):
+            raise ValueError("polynomial JSON must be an object")
+        terms = obj.get("terms", [])
+        if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
+            raise ValueError("terms must be a list of objects")
+        coeffs = json_int_array([t["c"] for t in terms], "term coefficients")
+        exps = [tuple(json_int_array(t["exp"], "an exponent vector")) for t in terms]
+        return PolyDense(json_int(obj["p"], "p"), json_int(obj["n"], "n"), dict(zip(exps, coeffs)))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .forms import (
     Shape,
     as_multiaffine,
     compose_output,
+    part_grid,
     slice_map,
     value_table,
 )
@@ -460,10 +461,8 @@ def nonzero_conn_check(
 
     # the target set
     member = value_table(rho, max_points)[..., 0] != 0
-    from .forms import _part_grid
-
     for I, g in gammas:
-        grid = _part_grid(shape, I, g.coeffs)[..., 0]
+        grid = part_grid(shape, I, g.coeffs)[..., 0]
         member &= np.broadcast_to(grid == 0, shape.sizes)
     rep = connectivity(shape, member, max_points)
     bound = (2 * k + 1) * (2 ** k - 1)
@@ -585,9 +584,7 @@ class MultilinearizedVariety:
 
 
 def _constraint_table(shape: Shape, I: frozenset, form: MultilinearMap, val: int) -> np.ndarray:
-    from .forms import _part_grid
-
-    grid = _part_grid(shape, I, form.coeffs)[..., 0]
+    grid = part_grid(shape, I, form.coeffs)[..., 0]
     return np.broadcast_to(grid == val, shape.sizes)
 
 

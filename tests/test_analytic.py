@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankforge.analytic import (
@@ -18,15 +18,18 @@ from rankforge.analytic import (
     shifted_log,
     value_histogram,
 )
+from rankforge import linalg
 from rankforge.errors import DomainSizeError
 from rankforge.forms import (
     MultiaffineMap,
     MultilinearMap,
     Shape,
     as_multiaffine,
+    curry_last,
     domain_points,
     random_multiaffine,
     random_multilinear,
+    value_table,
 )
 
 
@@ -269,3 +272,99 @@ def test_box_norm_identity_k4():
     phi = random_multilinear(Shape(2, (1, 1, 1, 1)), 1, [301, 7])
     nrm = box_norm(phi.shape, chi_table(phi))
     assert nrm ** 16 == pytest.approx(float(exact_bias(phi)), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+#  The rank-counting route of bias_report against the enumerative oracle
+# ---------------------------------------------------------------------------
+
+def enumerated_report(f):
+    """The value histogram by enumeration, and the curried map's zero count by
+    enumerating its value table."""
+    hist = value_histogram(f)
+    if f.shape.k == 1:
+        return hist, 0 if f.coeffs.any() else 1
+    return hist, int((~value_table(curry_last(f)).any(axis=-1)).sum())
+
+
+@st.composite
+def oracle_sized_forms(draw):
+    """Multilinear forms of at most 2^12 points: uniform, zero, or a sum of one or
+    two pure tensors (every matrix slice then has rank <= 1 or <= 2)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    budget = {2: 12, 3: 7, 5: 5, 7: 4}[p]  # largest N with p^N <= 2^12
+    k = draw(st.integers(1, 4))
+    dims = []
+    for i in range(k):
+        dims.append(draw(st.integers(1, min(3, budget - sum(dims) - (k - 1 - i)))))
+    dims = tuple(dims)
+    kind = draw(st.sampled_from(["uniform", "zero", "pure1", "pure2"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        coeffs = rng.integers(0, p, size=dims)
+    else:
+        coeffs = np.zeros(dims, dtype=np.int64)
+        for _ in range(0 if kind == "zero" else int(kind[-1])):
+            term = np.ones((), dtype=np.int64)
+            for n in dims:
+                term = np.multiply.outer(term, rng.integers(0, p, size=n))
+            coeffs = (coeffs + term) % p
+    return MultilinearMap(Shape(p, dims), 1, coeffs.reshape(dims + (1,)))
+
+
+@settings(max_examples=250, deadline=None)
+@given(oracle_sized_forms())
+@example(form(2, (1, 1, 1, 1), [1]))
+@example(form(7, (1, 1, 1, 1), [0]))
+@example(form(3, (2, 3, 1), np.zeros(6)))
+@example(form(5, (2,), [0, 3]))
+def test_rank_route_matches_enumeration(f):
+    rep = bias_report(f)
+    hist, vanish = enumerated_report(f)
+    assert rep.histogram == hist
+    assert rep.vanishing_count == vanish
+    assert rep.bias_exact == hist.exact_bias()
+    assert rep.bias == hist.chi_average()
+
+
+def test_rank_route_past_the_enumeration_guard():
+    # x . diag(y) . z over F_2^10: the slice at x has rank wt(x), so the bias is
+    # E 2^-wt(x) = (3/4)^10 on a 2^30-point domain
+    n = 10
+    C = np.zeros((n, n, n), dtype=np.int64)
+    C[np.arange(n), np.arange(n), np.arange(n)] = 1
+    f = form(2, (n, n, n), C)
+    with pytest.raises(DomainSizeError):
+        value_histogram(f)
+    rep = bias_report(f)
+    assert rep.bias_exact == Fraction(3, 4) ** n
+    assert rep.vanishing_count == 3 ** n  # bias * 2^20 points x_[2]
+    assert rep.histogram.total == 2 ** 30
+
+
+def test_slice_stack_guard():
+    # slices on the two largest coordinates, 4 and 5: 2^3 * 4 * 5 = 160 entries
+    f = form(2, (3, 4, 5), np.zeros(60))
+    assert exact_bias(f, max_points=160) == 1
+    with pytest.raises(DomainSizeError) as err:
+        exact_bias(f, max_points=159)
+    assert err.value.needed == 160
+
+
+@st.composite
+def matrix_stacks(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    B, r, c = draw(st.integers(0, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.integers(0, 5))  # inner dimension: rank <= t
+    stack = rng.integers(0, p, size=(B, r, t)) @ rng.integers(0, p, size=(B, t, c))
+    return p, stack % p
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_stacks())
+def test_rank_many_matches_rank(case):
+    p, stack = case
+    got = linalg.rank_many(stack, p)
+    assert got.shape == (stack.shape[0],)
+    assert got.tolist() == [linalg.rank(M, p) for M in stack]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rankforge.cli import main
-from rankforge.forms import MultilinearMap, Shape, map_to_json
+from rankforge.forms import MultiaffineMap, MultilinearMap, Shape, map_to_json
 
 
 def write_map(tmp_path, f, name="m.json"):
@@ -122,10 +122,62 @@ def test_malformed_input_exit_2(tmp_path, capsys):
 
 
 def test_resource_guard_exit_3(tmp_path, capsys):
+    # a multiaffine map is enumerated: 2^24 points exceed the default guard
     sh = Shape(2, (12, 12))
-    f = MultilinearMap(sh, 1, np.zeros((12, 12, 1), dtype=np.int64))
+    f = MultiaffineMap(sh, 1, {frozenset(): np.ones(1, dtype=np.int64)})
     code = main(["arank", "--map", write_map(tmp_path, f)])
     assert code == 3
+
+
+def test_multilinear_arank_past_enumeration_guard(tmp_path, capsys):
+    # a multilinear form is answered from its slice ranks, without enumeration
+    sh = Shape(2, (12, 12))
+    f = MultilinearMap(sh, 1, np.zeros((12, 12, 1), dtype=np.int64))
+    code, out = run(capsys, ["arank", "--map", write_map(tmp_path, f)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bias_exact"] == {"num": 1, "den": 1}
+    assert payload["total"] == 2 ** 24
+    assert payload["histogram"] == [2 ** 24, 0]
+
+
+def test_count_overflow_exit_3(tmp_path, capsys):
+    # six convolutions in one direction need the denominator 2^63
+    sh = Shape(2, (1, 1))
+    f = MultilinearMap(sh, 1, np.ones((1, 1, 1), dtype=np.int64))
+    path = write_map(tmp_path, f)
+    assert main(["conv", "--map", path, "--chain", "1,1,1,1,1"]) == 0
+    assert main(["conv", "--map", path, "--chain", "1,1,1,1,1,1"]) == 3
+
+
+GOOD_MAP = {"p": 2, "dims": [2, 2], "target_dim": 1,
+            "parts": [{"subset": [1, 2], "coeffs": [1, 0, 0, 1]}]}
+
+
+@pytest.mark.parametrize("patch", [
+    pytest.param(None, id="top-level-list"),
+    pytest.param({"dims": 3}, id="dims-not-a-list"),
+    pytest.param({"parts": [{"subset": [1, 3], "coeffs": [1, 0, 0, 1]}]}, id="subset-out-of-range"),
+    pytest.param({"parts": [{"subset": [0, 1], "coeffs": [1, 0, 0, 1]}]}, id="subset-zero"),
+    pytest.param({"parts": [{"subset": [1, 2], "coeffs": [1.5, 0, 0, 1]}]}, id="float-coefficient"),
+])
+def test_malformed_map_exit_2(tmp_path, capsys, patch):
+    obj = [GOOD_MAP] if patch is None else {**GOOD_MAP, **patch}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["arank", "--map", str(path)]) == 2
+    assert "bad input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("obj", [
+    pytest.param([{"p": 5, "n": 3, "terms": []}], id="top-level-list"),
+    pytest.param({"p": 5, "n": 3, "terms": [{"exp": [1, 1, 1], "c": 1.5}]}, id="float-coefficient"),
+])
+def test_malformed_poly_exit_2(tmp_path, capsys, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["polarize", "--poly", str(path)]) == 2
+    assert "bad input" in capsys.readouterr().err
 
 
 def test_scatter_exhaustive_and_deterministic(tmp_path):

@@ -179,7 +179,7 @@ def test_strong_decomposition_needs_bilinear():
 def candidate_tables_oracle(shape):
     """Every rank-1 summand table, enumerated pairwise (independent of the
     solver-based search path)."""
-    from rankforge.forms import _part_grid
+    from rankforge.forms import part_grid
 
     p, k = shape.p, shape.k
     out = []
@@ -193,11 +193,11 @@ def candidate_tables_oracle(shape):
             if digits[np.flatnonzero(digits)[0]] != 1:
                 continue
             bm = MultilinearMap(shape.sub(I), 1, digits.reshape(shape.sub(I).dims + (1,)))
-            betas.append(_part_grid(shape, I, bm.coeffs)[..., 0])
+            betas.append(part_grid(shape, I, bm.coeffs)[..., 0])
         for flatg in range(1, p ** ng):
             dg = np.array([(flatg // p ** (ng - 1 - t)) % p for t in range(ng)], dtype=np.int64)
             gm = MultilinearMap(shape.sub(comp), 1, dg.reshape(shape.sub(comp).dims + (1,)))
-            gg = _part_grid(shape, comp, gm.coeffs)[..., 0]
+            gg = part_grid(shape, comp, gm.coeffs)[..., 0]
             for bg in betas:
                 out.append(((bg * gg) % p).reshape(-1).astype(np.int8))
     return np.array(out)
