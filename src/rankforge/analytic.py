@@ -26,7 +26,6 @@ from .forms import (
     MultiaffineMap,
     MultilinearMap,
     Shape,
-    as_multiaffine,
     digit_matrix,
     scalar_table,
 )
@@ -87,44 +86,6 @@ class ValueHistogram:
         return Fraction(self.counts[0] - other, self.total)
 
 
-def _blocked_scalar_table(f: Map, workers: int, max_points: int) -> np.ndarray:
-    """Scalar table computed block-by-block over the leading coordinate."""
-    shape = f.shape
-    lead = shape.sizes[0]
-    blocks = min(workers, lead)
-    bounds = np.linspace(0, lead, blocks + 1, dtype=int)
-    out = np.empty(shape.sizes, dtype=np.int64)
-
-    fa = as_multiaffine(f)
-
-    def run(b):
-        lo, hi = bounds[b], bounds[b + 1]
-        if lo == hi:
-            return
-        sub = np.zeros((hi - lo,) + shape.sizes[1:], dtype=np.int64)
-        D1 = digit_matrix(shape.p, shape.dims[0])[lo:hi]
-        for I, C in fa.parts.items():
-            Is = sorted(I)
-            letters = string.ascii_lowercase
-            in_ax = letters[: len(Is)]
-            out_ax = in_ax.upper()
-            ops = []
-            for pos, i in enumerate(Is):
-                ops.append(D1 if i == 1 else digit_matrix(shape.p, shape.dims[i - 1]))
-            spec = ",".join(f"{O}{a}" for O, a in zip(out_ax, in_ax))
-            spec = f"{spec},{in_ax}z->{out_ax}z" if Is else "z->z"
-            grid = np.einsum(spec, *ops, C, optimize=True) % shape.p
-            full = [1] * shape.k + [1]
-            for pos, i in enumerate(Is):
-                full[i - 1] = (hi - lo) if i == 1 else shape.sizes[i - 1]
-            sub += grid.reshape(full)[..., 0]
-        out[lo:hi] = sub % shape.p
-
-    with ThreadPoolExecutor(max_workers=blocks) as pool:
-        list(pool.map(run, range(blocks)))
-    return out
-
-
 def value_histogram(
     f: Map,
     restriction: np.ndarray | None = None,
@@ -133,28 +94,34 @@ def value_histogram(
     """Exact histogram of a scalar map by full enumeration.
 
     `restriction` is an optional boolean membership grid; only points inside
-    it are counted.  Enumeration is partitioned across worker threads on
-    large domains, with per-block integer sub-histograms merged exactly, so
-    the result does not depend on the worker count.
+    it are counted.  On domains of at least `_PARALLEL_MIN` points the x_1
+    codes are split into row blocks, counted on `worker_count()` threads
+    (RANKFORGE_THREADS); the blocks' integer counts are summed, so the result
+    does not depend on the thread count.
     """
     if f.m != 1:
         raise ValueError("value_histogram needs a scalar-valued map")
     shape = f.shape
     shape.guard(shape.domain_size, max_points, "histogram enumeration")
-    workers = worker_count()
-    if shape.domain_size >= _PARALLEL_MIN and workers > 1:
-        table = _blocked_scalar_table(f, workers, max_points)
+    if restriction is not None and restriction.shape != shape.sizes:
+        raise ValueError("restriction grid does not match the domain")
+    lead = shape.sizes[0]
+    blocks = min(worker_count(), lead) if shape.domain_size >= _PARALLEL_MIN else 1
+    bounds = np.linspace(0, lead, blocks + 1, dtype=int)
+
+    def count(b: int) -> np.ndarray:
+        rows = slice(bounds[b], bounds[b + 1])
+        vals = scalar_table(f, max_points, rows)
+        if restriction is not None:
+            vals = vals[restriction[rows]]
+        return np.bincount(vals.reshape(-1), minlength=shape.p)
+
+    if blocks == 1:
+        counts = count(0)
     else:
-        table = scalar_table(f, max_points)
-    if restriction is not None:
-        if restriction.shape != table.shape:
-            raise ValueError("restriction grid does not match the domain")
-        vals = table[restriction]
-        total = int(restriction.sum())
-    else:
-        vals = table.reshape(-1)
-        total = shape.domain_size
-    counts = np.bincount(vals, minlength=shape.p)
+        with ThreadPoolExecutor(max_workers=blocks) as pool:
+            counts = sum(pool.map(count, range(blocks)))
+    total = shape.domain_size if restriction is None else int(restriction.sum())
     return ValueHistogram(shape.p, tuple(int(c) for c in counts), total)
 
 

@@ -37,7 +37,7 @@ from .forms import (
     map_from_json,
     map_to_json,
     random_multilinear,
-    value_table,
+    zero_set_table,
 )
 from .partition import DEFAULT_BUDGET, RankReport, prank_exact
 from .polarization import PolyDense, polarize
@@ -289,7 +289,7 @@ def cmd_arrange(args) -> int:
         position_count_check(shape, i, j, lengths, x)
         counts["position"] += 1
         A = random_multilinear(shape, 1, [args.seed, t + 1])
-        member_A = ~value_table(A).any(axis=-1)
+        member_A = zero_set_table(A)
         arr = sample_arrangement_in_set(shape, member_A, i, lengths, rng)
         if arr is not None:
             vanishing_propagation_check(A, arr)

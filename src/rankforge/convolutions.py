@@ -21,7 +21,7 @@ from .forms import (
     Shape,
     addition_table,
     scalar_table,
-    value_table,
+    zero_set_table,
 )
 
 CONV_GUARD = 1 << 24       # |G| * |G_i| work guard per convolution
@@ -82,7 +82,7 @@ def indicator_table(shape: Shape, member: np.ndarray) -> DomainTable:
 
 
 def zero_set_indicator(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> DomainTable:
-    member = ~value_table(f, max_points).any(axis=-1)
+    member = zero_set_table(f, max_points)
     return DomainTable(f.shape, num=member.astype(np.int64), den=1)
 
 

@@ -267,8 +267,11 @@ def evaluate(f: Map, xs) -> np.ndarray:
 #  Full-domain value tables
 # ---------------------------------------------------------------------------
 
-def part_grid(shape: Shape, I: frozenset, C: np.ndarray) -> np.ndarray:
-    """Value grid of one part over G_I, broadcast-ready against the full domain."""
+def part_grid(shape: Shape, I: frozenset, C: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Value grid of one part over G_I, broadcast-ready against the full domain.
+
+    `rows` keeps a range of x_1 codes when coordinate 1 is in I; otherwise the
+    x_1 axis has size 1 and broadcasts against any range."""
     p = shape.p
     Is = sorted(I)
     letters = string.ascii_lowercase
@@ -278,35 +281,34 @@ def part_grid(shape: Shape, I: frozenset, C: np.ndarray) -> np.ndarray:
     out_ax = in_ax.upper()
     spec = ",".join(f"{O}{a}" for O, a in zip(out_ax, in_ax))
     spec = f"{spec},{in_ax}z->{out_ax}z" if Is else "z->z"
-    operands = [digit_matrix(p, shape.dims[i - 1]) for i in Is] + [C]
-    grid = np.einsum(spec, *operands, optimize=True) % p
+    mats = [digit_matrix(p, shape.dims[i - 1])[rows if i == 1 else slice(None)] for i in Is]
+    grid = np.einsum(spec, *mats, C, optimize=True) % p
     # insert size-1 axes for coordinates outside I
     full = [1] * shape.k + [C.shape[-1]]
-    for pos, i in enumerate(Is):
-        full[i - 1] = shape.sizes[i - 1]
+    for i, D in zip(Is, mats):
+        full[i - 1] = D.shape[0]
     return grid.reshape(full)
 
 
-def value_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
-    """Exact value grid over the whole domain, axes (codes of x_1..x_k, out)."""
+def value_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD, rows: slice = slice(None)) -> np.ndarray:
+    """Exact value grid, axes (codes of x_1..x_k, out).
+
+    `rows` keeps a range of x_1 codes (default: all); the guard is on the
+    whole domain."""
     shape = f.shape
     shape.guard(shape.domain_size, max_points, "value table")
-    p = shape.p
-    if isinstance(f, MultilinearMap):
-        parts = {frozenset(range(1, shape.k + 1)): f.coeffs}
-    else:
-        parts = f.parts
-    out = np.zeros(shape.sizes + (f.m,), dtype=np.int64)
-    for I, C in parts.items():
-        out = out + part_grid(shape, I, C)
-    return out % p
+    sizes = (len(range(shape.sizes[0])[rows]),) + shape.sizes[1:]
+    out = np.zeros(sizes + (f.m,), dtype=np.int64)
+    for I, C in as_multiaffine(f).parts.items():
+        out = out + part_grid(shape, I, C, rows)
+    return out % shape.p
 
 
-def scalar_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
-    """Value grid of a scalar map, axes (codes of x_1..x_k)."""
+def scalar_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD, rows: slice = slice(None)) -> np.ndarray:
+    """Value grid of a scalar map, axes (codes of x_1..x_k); `rows` as in `value_table`."""
     if f.m != 1:
         raise ValueError("scalar_table needs a scalar-valued map")
-    return value_table(f, max_points)[..., 0]
+    return value_table(f, max_points, rows)[..., 0]
 
 
 def zero_set_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
@@ -356,13 +358,8 @@ def slice_map(f: Map, I, x_I) -> Map:
     new_shape = Shape(p, tuple(shape.dims[i - 1] for i in rest))
     renum = {i: pos + 1 for pos, i in enumerate(rest)}
 
-    if isinstance(f, MultilinearMap):
-        src = {frozenset(range(1, shape.k + 1)): f.coeffs}
-    else:
-        src = f.parts
-
     acc: dict[frozenset, np.ndarray] = {}
-    for J, C in src.items():
+    for J, C in as_multiaffine(f).parts.items():
         Js = sorted(J)
         T = C
         for i in reversed(Js):

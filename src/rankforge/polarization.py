@@ -163,8 +163,10 @@ def diagonal_poly(form: MultilinearMap) -> PolyDense:
 def polarize(f: PolyDense, degree: int | None = None) -> SymmetricForm:
     """The symmetric d-linear form whose diagonal is the top-degree part of f.
 
-    Built by the signed subset sum over basis tuples, divided by d!; needs
-    d < p."""
+    Coefficient [i_1..i_d] is the signed subset sum over S in [d] of
+    (-1)^(d-|S|) top(sum_{j in S} e_{i_j}), divided by d!; needs d < p.
+    All n^d * 2^d subset-sum points are evaluated in one `evaluate_many`
+    pass; the guard is on that point matrix's n^d * 2^d * n entries."""
     d = f.degree if degree is None else degree
     if f.is_zero():
         d = max(d, 1)
@@ -175,24 +177,20 @@ def polarize(f: PolyDense, degree: int | None = None) -> SymmetricForm:
     n, p = f.n, f.p
     if n ** d > POLARIZE_GUARD:
         raise DomainSizeError(n ** d, POLARIZE_GUARD, "polarization")
-    top = f.top_part(d)
+    entries = n ** d * 2 ** d * n
+    if entries > DEFAULT_ENUM_GUARD:
+        raise DomainSizeError(entries, DEFAULT_ENUM_GUARD, "polarization points")
     shape = Shape(p, (n,) * d)
-    coeffs = np.zeros((n,) * d + (1,), dtype=np.int64)
+    if (p - 1) ** 2 >= 1 << 63:
+        raise OverflowError(f"polarization evaluates in int64 and needs (p - 1)^2 < 2^63, got p = {p}")
+    masks = digit_matrix(2, d)  # row s: the subset of [d] with bits s
+    tuples = np.indices((n,) * d).reshape(d, -1).T  # basis tuples in row-major order
+    points = masks @ np.eye(n, dtype=np.int64)[tuples]  # [tuple, subset, variable]
+    vals = f.top_part(d).evaluate_many(points.reshape(-1, n)).reshape(n ** d, 2 ** d)
+    # signs +-1 keep the sum below 2^d * p, inside int64 for every admitted p
+    signs = np.where((d - masks.sum(axis=1)) % 2 == 0, 1, -1)
     inv_fact = pow(math.factorial(d) % p, p - 2, p)
-    subsets = [[]]
-    for i in range(d):
-        subsets += [s + [i] for s in subsets]
-    for idx in np.ndindex(*(n,) * d):
-        total = 0
-        for S in subsets:
-            if not S:
-                continue  # top part vanishes at 0
-            x = np.zeros(n, dtype=np.int64)
-            for i in S:
-                x[idx[i]] += 1
-            sign = 1 if (d - len(S)) % 2 == 0 else p - 1
-            total = (total + sign * top.evaluate(x)) % p
-        coeffs[idx + (0,)] = total * inv_fact % p
+    coeffs = (vals @ signs % p * inv_fact % p).reshape((n,) * d + (1,))
     return SymmetricForm(MultilinearMap(shape, 1, coeffs), n, d)
 
 

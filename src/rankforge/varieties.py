@@ -31,6 +31,7 @@ from .forms import (
     part_grid,
     slice_map,
     value_table,
+    zero_set_table,
 )
 
 TRAVERSAL_GUARD = 1 << 21
@@ -160,8 +161,8 @@ def bohr_external(A: Map, s: int, seed, max_points: int = DEFAULT_ENUM_GUARD) ->
     p = A.shape.p
     H = rng.integers(0, p, size=(A.m, s), dtype=np.int64)
     phi = compose_output(A, H)
-    tA = ~value_table(A, max_points).any(axis=-1)
-    tPhi = ~value_table(phi, max_points).any(axis=-1)
+    tA = zero_set_table(A, max_points)
+    tPhi = zero_set_table(phi, max_points)
     if (tA & ~tPhi).any():
         raise LemmaViolationError("containment {A=0} within {phi=0} failed")
     exceptional = int((tPhi & ~tA).sum())
@@ -462,8 +463,7 @@ def nonzero_conn_check(
     # the target set
     member = value_table(rho, max_points)[..., 0] != 0
     for I, g in gammas:
-        grid = part_grid(shape, I, g.coeffs)[..., 0]
-        member &= np.broadcast_to(grid == 0, shape.sizes)
+        member &= _constraint_table(shape, I, g, 0)
     rep = connectivity(shape, member, max_points)
     bound = (2 * k + 1) * (2 ** k - 1)
     rep.eta_threshold = eta
@@ -618,7 +618,7 @@ def multilinearize_variety(
     tD = D.table(max_points)
     if not tD.any():
         raise ValueError("D is empty")
-    tA = ~value_table(A, max_points).any(axis=-1)
+    tA = zero_set_table(A, max_points)
     if (tD & ~tA).any():
         raise ValueError("containment of D in {A = 0} fails")
 

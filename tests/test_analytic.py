@@ -266,6 +266,19 @@ def test_parallel_histogram_matches_serial(monkeypatch):
     monkeypatch.setenv("RANKFORGE_THREADS", "1")
     h_ser = value_histogram(f)
     assert h_par == h_ser
+    # 9 x_1 codes on 4 threads give uneven blocks; with and without a restriction
+    g = random_multiaffine(Shape(3, (2, 5)), 1, [71, 1])
+    member = np.random.default_rng(71).integers(0, 2, size=g.shape.sizes).astype(bool)
+    for restriction in (None, member):
+        keep = np.ones(g.shape.domain_size, dtype=bool) if restriction is None else member.reshape(-1)
+        oracle = [0] * 3
+        for xs, kept in zip(domain_points(g.shape), keep):
+            oracle[int(g.evaluate(xs)[0])] += int(kept)
+        monkeypatch.setenv("RANKFORGE_THREADS", "4")
+        h_par = value_histogram(g, restriction)
+        monkeypatch.setenv("RANKFORGE_THREADS", "1")
+        h_ser = value_histogram(g, restriction)
+        assert h_par == h_ser and h_par.counts == tuple(oracle)
 
 
 def test_box_norm_identity_k4():

@@ -92,6 +92,22 @@ def test_value_table_matches_pointwise_evaluation():
         assert table[codes + (0,)] == f.evaluate(xs)[0]
 
 
+@pytest.mark.parametrize("f", [
+    pytest.param(random_multiaffine(Shape(3, (2, 1, 1)), 2, [61, 0]), id="every-part"),
+    pytest.param(MultiaffineMap(Shape(3, (2, 1)), 2, {frozenset(): [1, 2], frozenset({2}): [[2, 1]]}),
+                 id="no-part-on-x1"),
+    pytest.param(random_multilinear(Shape(2, (3, 2)), 3, [61, 1]), id="multilinear"),
+])
+def test_value_table_row_blocks_concatenate(f):
+    full = value_table(f)
+    lead = f.shape.sizes[0]
+    cuts = [0, 1, lead // 2, lead // 2, lead]  # uneven blocks, one of them empty
+    blocks = [value_table(f, rows=slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+    assert blocks[2].shape == (0,) + full.shape[1:]
+    joined = np.concatenate(blocks)
+    assert joined.dtype == full.dtype and np.array_equal(joined, full)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([(2, (2, 2)), (3, (1, 2)), (2, (1, 1, 2))]))
 def test_multilinearity_additivity(seed, spec):

@@ -12,3 +12,14 @@ def test_no_assert_statements_in_library():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements guard invariants at {found}"
+
+
+def test_no_private_helper_imported_across_modules():
+    # a helper named _x stays inside its module; shared code gets a public name
+    found = []
+    for path in sorted(Path(rankforge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                          if a.name.startswith("_") and not a.name.startswith("__")]
+    assert not found, f"private helpers imported across modules at {found}"

@@ -1,3 +1,5 @@
+import json
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rankforge.cli import main
 from rankforge.errors import DomainSizeError
 from rankforge.forms import digit_matrix
 from rankforge.partition import prank_exact
@@ -107,6 +110,66 @@ def test_polarize_symmetry_all_permutations_d3():
     C = sym.form.coeffs[..., 0]
     for perm in permutations(range(3)):
         assert np.array_equal(C, C.transpose(perm))
+
+
+def _polarize_oracle(f, d):
+    """Coefficients of the polarized form, one signed subset sum per basis tuple,
+    with one `PolyDense.evaluate` call per subset point."""
+    n, p = f.n, f.p
+    top = f.top_part(d)
+    coeffs = np.zeros((n,) * d + (1,), dtype=np.int64)
+    inv_fact = pow(math.factorial(d) % p, p - 2, p)
+    subsets = [[]]
+    for i in range(d):
+        subsets += [s + [i] for s in subsets]
+    for idx in np.ndindex(*(n,) * d):
+        total = 0
+        for S in subsets:
+            if not S:
+                continue  # top part vanishes at 0
+            x = np.zeros(n, dtype=np.int64)
+            for i in S:
+                x[idx[i]] += 1
+            sign = 1 if (d - len(S)) % 2 == 0 else p - 1
+            total = (total + sign * top.evaluate(x)) % p
+        coeffs[idx + (0,)] = total * inv_fact % p
+    return coeffs
+
+
+@st.composite
+def poly_to_polarize(draw):
+    p, n, d = draw(st.sampled_from([(3, 2, 2), (3, 3, 2), (5, 2, 3), (5, 3, 3), (7, 2, 4),
+                                    (7, 3, 1), (11, 1, 10), (13, 1, 12)]))
+    exps = st.tuples(*[st.integers(0, p - 1)] * n)
+    terms = draw(st.dictionaries(exps, st.integers(1, p - 1), max_size=6))
+    return PolyDense(p, n, terms), d
+
+
+@settings(max_examples=50, deadline=None)
+@given(poly_to_polarize())
+@example((PolyDense(7, 2, {(1, 1): 1, (0, 1): 5}), 4))  # d > f.degree: the zero form
+@example((PolyDense(13, 1, {(12,): 3, (5,): 1}), 12))  # n = 1, d = 12
+@example((PolyDense(13, 1, {(7,): 2}), 7))
+@example((PolyDense(5, 3, {(1, 1, 1): 1, (2, 0, 1): 3, (0, 2, 0): 4}), 3))
+def test_polarize_matches_loop_oracle(case):
+    f, d = case
+    coeffs = polarize(f, d).form.coeffs
+    oracle = _polarize_oracle(f, d)
+    assert coeffs.dtype == oracle.dtype and np.array_equal(coeffs, oracle)
+
+
+def test_polarize_guards(tmp_path):
+    # (2n)^d * n = 2^25 point-matrix entries for n = 2, d = 12, though n^d = 4096 is admitted
+    f = PolyDense(13, 2, {(6, 6): 1})
+    with pytest.raises(DomainSizeError) as err:
+        polarize(f)
+    assert err.value.needed == 2 ** 25
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f.to_json()))
+    assert main(["polarize", "--poly", str(path)]) == 3
+    # int64 evaluation needs (p - 1)^2 < 2^63; 2^32 + 15 is prime
+    with pytest.raises(OverflowError):
+        polarize(PolyDense(2 ** 32 + 15, 1, {(1,): 1}))
 
 
 def test_difference_table_zero_poly_mean():
