@@ -4,12 +4,26 @@ the analytic lower bound, and the constructive bilinear decomposition.
 The search runs iterative deepening over combinations of candidate summands.
 A candidate fixes the bipartition I | [k]-I (canonically 1 in I) and one
 factor, enumerated up to scalar normalization (first nonzero coefficient 1,
-row-major); the opposite factors of a combination are then recovered by one
-linear solve against the target coefficients.  For each bipartition the
-factor side with the smaller coefficient space is enumerated, which keeps the
-pool complete whenever one side is desk-scale.  Exactness is never sacrificed
-silently: on budget exhaustion, or when some bipartition has no enumerable
-side, the result is an interval, not a guess.
+row-major); its block B holds the products of that factor with every basis
+vector of the free side, so a combination reaches the target b iff
+[B_1 | ... | B_r] x = b is solvable.  For each bipartition the factor side
+with the smaller coefficient space is enumerated, which keeps the pool
+complete whenever one side is desk-scale.  The pool stores only the factors.
+
+Leaves are visited in `combinations` order, and the leaves (prefix, j) that
+share their first r - 1 entries are checked together.  If the rows of Q span
+the left nullspace of the prefix columns P (the prefix quotient), then
+[P | B_j] x = b is solvable iff Q b lies in the column span of Q B_j.  Q B_j
+is contracted from Q and the factor alone, and all j are checked by one
+batched elimination (`linalg.solvable_many`).  The quotients of the prefixes
+parent + (i,) come from the parent's quotient Q_p: the left nullspace of
+Q_p B_i, again batched over i (`linalg.left_nullspace_many`).  Only the
+solvable leaf the search stops at is solved (`linalg.solve`) to build the
+witness.  The budget is charged leaf by leaf in the same order, so nodes,
+leaves and witnesses do not depend on the batching.
+
+Exactness is never sacrificed silently: on budget exhaustion, or when some
+bipartition has no enumerable side, the result is an interval, not a guess.
 """
 
 from __future__ import annotations
@@ -31,7 +45,8 @@ from .forms import (
 )
 
 MODE_CAP = 4096          # normalized factors enumerable per bipartition side
-DEFAULT_BUDGET = 200_000  # solver unknowns, summed over the leaves solved
+DEFAULT_BUDGET = 200_000  # solver unknowns, summed over the leaves checked
+BATCH_ENTRIES = 1 << 15   # matrix entries per batched elimination of the search
 
 
 @dataclass(frozen=True)
@@ -86,8 +101,9 @@ class RankReport:
     exact: bool
     witness: PartitionDecomposition | None
     lovett_lower: int
-    nodes: int
+    nodes: int  # budget units: solver unknowns summed over the leaves checked
     truncated_reason: str | None = None
+    leaves: int = 0  # leaves checked, a rank-1 check counting 1
 
     @property
     def prank(self) -> int | None:
@@ -171,109 +187,105 @@ def lovett_lower_bound(alpha: MultilinearMap, max_points: int = DEFAULT_ENUM_GUA
 
 
 # ---------------------------------------------------------------------------
-#  Candidate pool: one enumerated factor per bipartition, solve for the rest
+#  Candidate pool: the normalized factors of one side per bipartition
 # ---------------------------------------------------------------------------
 
-def _enumerate_normalized(p: int, count: int):
-    """Coefficient vectors of a given length whose first nonzero entry is 1,
-    in row-major lexicographic order (most significant digit first)."""
-    powers = [p ** (count - 1 - t) for t in range(count)]
-    for flat in range(1, p ** count):
-        digits = np.array([(flat // q) % p for q in powers], dtype=np.int64)
-        if digits[np.flatnonzero(digits)[0]] == 1:
-            yield digits
+def _normalized_factors(p: int, count: int) -> np.ndarray:
+    """Every coefficient vector of the given length whose first nonzero entry
+    is 1, one per row, in row-major lexicographic order (most significant
+    digit first).  Their codes are [q, 2q) for q = p^0, p^1, ..., ascending."""
+    codes = np.concatenate([np.arange(q, 2 * q, dtype=np.int64) for q in (p ** e for e in range(count))])
+    powers = np.array([p ** (count - 1 - t) for t in range(count)], dtype=np.int64)
+    return codes[:, None] // powers % p
 
 
 @dataclass(frozen=True)
-class _PoolEntry:
+class _Side:
+    """The pool entries of one bipartition I | [k]-I: every normalized factor
+    on its enumerated side, the opposite factor left unknown."""
+
     subset: frozenset
     enum_on_subset: bool
-    factor: MultilinearMap
-    block: np.ndarray   # (total coeff count, unknown count), columns mod p
+    factors: np.ndarray   # (count, enumerated-side coeff count), one factor per row
+    width: int            # unknowns per entry: the free side's coefficient count
+
+    def images(self, shape: Shape, Q: np.ndarray, rows: slice, p: int) -> np.ndarray:
+        """Q B for the blocks B of the entries `rows`: a (rows, len(Q), width)
+        stack, contracted from Q, with its columns split over (subset, complement)
+        coefficients, and the factors alone."""
+        Is, comp = sorted(self.subset), sorted(_complement(shape, self.subset))
+        nb = int(np.prod([shape.dims[i - 1] for i in Is]))
+        Qt = Q.reshape((len(Q),) + shape.dims).transpose([0] + Is + comp).reshape(len(Q), nb, Q.shape[1] // nb)
+        F = self.factors[rows]
+        if self.enum_on_subset:
+            return np.tensordot(F, Qt, axes=(1, 1)) % p
+        return np.tensordot(Qt, F, axes=(2, 1)).transpose(2, 0, 1) % p
+
+    def block(self, shape: Shape, row: int) -> np.ndarray:
+        """Columns spanning {factor x free side} in the natural coefficient order,
+        an (N, width) matrix."""
+        Is, comp = sorted(self.subset), sorted(_complement(shape, self.subset))
+        factor = self.factors[row].reshape(-1, 1)
+        eye = np.eye(self.width, dtype=np.int64)
+        raw = np.kron(factor, eye) if self.enum_on_subset else np.kron(eye, factor)
+        # raw rows run over (I-major, comp-minor) flat order; permute to natural order
+        tens = raw.reshape([shape.dims[i - 1] for i in Is + comp] + [self.width])
+        tens = tens.transpose(np.argsort(Is + comp).tolist() + [shape.k])
+        return tens.reshape(-1, self.width)
+
+    def factor(self, shape: Shape, row: int) -> MultilinearMap:
+        side_shape = shape.sub(self.subset if self.enum_on_subset else _complement(shape, self.subset))
+        return MultilinearMap(side_shape, 1, self.factors[row].reshape(side_shape.dims + (1,)))
 
 
-def _entry_block(shape: Shape, I: frozenset, enum_on_subset: bool, factor_flat: np.ndarray):
-    """Columns spanning {factor x free-side} inside the natural coefficient order."""
-    Is = sorted(I)
-    comp = [i for i in range(1, shape.k + 1) if i not in I]
-    dims_I = [shape.dims[i - 1] for i in Is]
-    dims_C = [shape.dims[i - 1] for i in comp]
-    nb = int(np.prod(dims_I))
-    ng = int(np.prod(dims_C))
-    if enum_on_subset:
-        raw = np.kron(factor_flat.reshape(-1, 1), np.eye(ng, dtype=np.int64))
-        unknowns = ng
-    else:
-        raw = np.kron(np.eye(nb, dtype=np.int64), factor_flat.reshape(-1, 1))
-        unknowns = nb
-    # raw rows run over (I-major, comp-minor) flat order; permute to natural order
-    perm = np.argsort(Is + comp).tolist()
-    tens = raw.reshape(dims_I + dims_C + [unknowns])
-    tens = tens.transpose(perm + [shape.k])
-    return tens.reshape(-1, unknowns) % shape.p
+def _complement(shape: Shape, I) -> frozenset:
+    return frozenset(range(1, shape.k + 1)) - I
 
 
 def _build_pool(shape: Shape):
-    """Returns (entries, complete) where complete means every bipartition has
-    one enumerable side within the cap."""
+    """Returns (sides, complete) where complete means every bipartition has
+    one enumerable side within the cap.  Only the factors are stored: a
+    side's blocks are N x width each, built on demand (`_Side.block`)."""
     p = shape.p
-    entries = []
+    sides = []
     complete = True
     for I in canonical_subsets(shape.k):
-        comp = frozenset(range(1, shape.k + 1)) - I
         nb = int(np.prod([shape.dims[i - 1] for i in sorted(I)]))
-        ng = int(np.prod([shape.dims[i - 1] for i in sorted(comp)]))
+        ng = int(np.prod([shape.dims[i - 1] for i in sorted(_complement(shape, I))]))
         count_I = (p ** nb - 1) // (p - 1)
         count_C = (p ** ng - 1) // (p - 1)
         if min(count_I, count_C) > MODE_CAP:
             complete = False
             continue
         enum_on_subset = count_I <= count_C
-        side = I if enum_on_subset else comp
-        side_shape = shape.sub(side)
-        n_side = nb if enum_on_subset else ng
-        for digits in _enumerate_normalized(p, n_side):
-            factor = MultilinearMap(side_shape, 1, digits.reshape(side_shape.dims + (1,)))
-            block = _entry_block(shape, I, enum_on_subset, digits)
-            entries.append(_PoolEntry(I, enum_on_subset, factor, block))
-    return entries, complete
+        n_side, width = (nb, ng) if enum_on_subset else (ng, nb)
+        sides.append(_Side(I, enum_on_subset, _normalized_factors(p, n_side), width))
+    return sides, complete
 
 
 def _witness_from_solution(shape: Shape, combo, solution: np.ndarray):
+    """Summands of a solved leaf; `combo` lists its entries as (side, row)."""
     p = shape.p
     summands = []
     offset = 0
-    for e in combo:
-        u = e.block.shape[1]
-        chunk = solution[offset : offset + u] % p
-        offset += u
+    for side, row in combo:
+        chunk = solution[offset : offset + side.width] % p
+        offset += side.width
         if not chunk.any():
             continue
-        comp = frozenset(range(1, shape.k + 1)) - e.subset
-        if e.enum_on_subset:
-            beta = e.factor
-            gshape = shape.sub(comp)
+        factor = side.factor(shape, row)
+        if side.enum_on_subset:
+            beta = factor
+            gshape = shape.sub(_complement(shape, side.subset))
             gamma = MultilinearMap(gshape, 1, chunk.reshape(gshape.dims + (1,)))
         else:
-            bshape = shape.sub(e.subset)
+            bshape = shape.sub(side.subset)
             lead = int(chunk[np.flatnonzero(chunk)[0]])
             inv = pow(lead, p - 2, p)
             beta = MultilinearMap(bshape, 1, (chunk * inv % p).reshape(bshape.dims + (1,)))
-            gamma = MultilinearMap(
-                e.factor.shape, 1, (e.factor.coeffs * lead) % p
-            )
-        summands.append(PartitionSummand(e.subset, beta, gamma))
+            gamma = MultilinearMap(factor.shape, 1, (factor.coeffs * lead) % p)
+        summands.append(PartitionSummand(side.subset, beta, gamma))
     return summands
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, n: int = 1) -> bool:
-        self.used += n
-        return self.used <= self.limit
 
 
 class _BudgetExhausted(Exception):
@@ -313,11 +325,15 @@ def prank_exact(
 ) -> RankReport:
     """Smallest number of rank-1 summands adding up to alpha, with a witness.
 
-    Iterative deepening starting from the analytic lower bound.  The node
-    count, and the `budget` it is held to, is the number of solver unknowns
-    summed over the leaves solved (a rank-1 check counts 1).  Returns the
-    exact rank, or the interval [lo, hi] with the best known witness for the
-    upper endpoint.
+    Iterative deepening starting from the analytic lower bound.  A leaf of
+    depth r >= 2 is a combination of r pool entries, checked in `combinations`
+    order; the node count, and the `budget` it is held to, is the number of
+    solver unknowns summed over the leaves checked (a rank-1 check counts 1).
+    `leaves` counts the leaves themselves.  Leaves sharing their first r - 1
+    entries are checked together against that prefix's quotient (see the
+    module docstring); the budget is still charged leaf by leaf, so the
+    result does not depend on the batching.  Returns the exact rank, or the
+    interval [lo, hi] with the best known witness for the upper endpoint.
     """
     if not alpha.scalar:
         raise ValueError("needs a scalar form")
@@ -330,26 +346,123 @@ def prank_exact(
     lovett = lovett_lower_bound(alpha, max_points)
     trivial = monomial_decomposition(alpha)
     hi = len(trivial)
-    pool, complete = _build_pool(shape)
+    sides, complete = _build_pool(shape)
+    # pool entry i is row i - offsets[s] of sides[s], s = side_of[i], in bipartition order
+    counts = [len(side.factors) for side in sides]
+    offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    side_of = np.repeat(np.arange(len(sides)), counts)
+    widths = np.repeat([side.width for side in sides], counts).astype(np.int64)
+    n = len(side_of)
+    wmax = int(widths.max()) if n else 0
+    batch_entries = min(BATCH_ENTRIES, max_points)
     target = alpha.coeffs[..., 0].reshape(-1)
     p = shape.p
-    budget_box = _Budget(budget)
+    used = leaves = 0
+
+    def entry(i: int):
+        s = int(side_of[i])
+        return sides[s], i - int(offsets[s])
+
+    def columns(idxs) -> np.ndarray:
+        return np.hstack([side.block(shape, row) for side, row in map(entry, idxs)])
+
+    def padded_images(Q: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Q B_j for the pool entries j in [start, stop), zero-padded to one width."""
+        out = np.zeros((stop - start, len(Q), wmax), dtype=np.int64)
+        for s in range(int(side_of[start]), int(side_of[stop - 1]) + 1):
+            lo, hi_ = max(start, int(offsets[s])), min(stop, int(offsets[s + 1]))
+            rows = slice(lo - int(offsets[s]), hi_ - int(offsets[s]))
+            out[lo - start : hi_ - start, :, : sides[s].width] = sides[s].images(shape, Q, rows, p)
+        return out
+
+    def first_solvable(segments):
+        """Position, in leaf order, of the first solvable leaf among the
+        segments (Q, start, stop), or None.  A segment holds the leaves
+        (prefix, j), j in [start, stop), of a prefix with quotient Q: the leaf
+        is solvable iff Q b lies in the column span of Q B_j.  The images are
+        padded to one height and width and checked in chunks of at most
+        `batch_entries` entries (or one leaf), in leaf order."""
+        dmax = max(len(Q) for Q, _, _ in segments)
+        step = max(1, batch_entries // (max(1, dmax) * (wmax + 1)))
+        pieces = [(Q, lo, min(lo + step, stop)) for Q, start, stop in segments for lo in range(start, stop, step)]
+        done = k = 0
+        while k < len(pieces):
+            chunk, size = [], 0
+            while k < len(pieces) and size + pieces[k][2] - pieces[k][1] <= step:
+                chunk.append(pieces[k])
+                size += pieces[k][2] - pieces[k][1]
+                k += 1
+            stack = np.zeros((size, dmax, wmax), dtype=np.int64)
+            rhs = np.zeros((size, dmax), dtype=np.int64)
+            o = 0
+            for Q, lo, hi_ in chunk:
+                stack[o : o + hi_ - lo, : len(Q)] = padded_images(Q, lo, hi_)
+                rhs[o : o + hi_ - lo, : len(Q)] = Q @ target % p
+                o += hi_ - lo
+            ok = linalg.solvable_many(stack, rhs, p)
+            if ok.any():
+                return done + int(ok.argmax())
+            done += size
+        return None
+
+    # [Q_parent B_i | I], one child's quotient system, has at most N x (N + wmax) entries
+    child_entries = target.size * (target.size + wmax)
+    batch_kids = max(1, batch_entries // child_entries)
 
     def search_depth(r: int):
+        nonlocal used, leaves
         if r == 1:
-            if not budget_box.spend(1):
+            used += 1
+            if used > budget:
                 raise _BudgetExhausted
+            leaves += 1
             w = is_partition_rank_le1(alpha)
             return [w] if w is not None else None
-        for idxs in combinations(range(len(pool)), r):
-            combo = [pool[i] for i in idxs]
-            # a leaf costs its unknown count, so the budget tracks solve work
-            if not budget_box.spend(sum(e.block.shape[1] for e in combo)):
+        # the prefixes parent + (i,) in order, grouped by parent; a prefix ending
+        # on the last entry has no leaves
+        for parent in combinations(range(n - 2), r - 2):
+            W = int(widths[list(parent)].sum())
+            Qp, over = None, None
+            i = parent[-1] + 1 if parent else 0
+            while i < n - 1 and over is None:
+                # the next children, with the units spent after each leaf the budget
+                # admits: a leaf costs its unknown count, so the budget tracks solve work
+                kids, spent, run = [], [], used
+                while i < n - 1 and len(kids) < batch_kids and over is None:
+                    costs = run + np.cumsum(widths[i + 1 :] + (W + int(widths[i])))
+                    admitted = int(np.searchsorted(costs, budget, side="right"))
+                    if admitted < len(costs):
+                        over = int(costs[admitted])
+                    if admitted:
+                        kids.append(i)
+                        spent.append(costs[:admitted])
+                        run = int(costs[admitted - 1])
+                    i += 1
+                if not kids:
+                    break
+                if Qp is None:
+                    shape.guard(child_entries, max_points, "prefix quotient")
+                    Qp = linalg.nullspace(columns(parent).T, p) if parent else np.eye(target.size, dtype=np.int64)
+                # the children's quotients from the parent's, in one batched elimination
+                Y, basis = linalg.left_nullspace_many(padded_images(Qp, kids[0], kids[-1] + 1), p)
+                segments = [(Y[t][basis[t]] @ Qp % p, j + 1, j + 1 + len(c)) for t, (j, c) in enumerate(zip(kids, spent))]
+                spent = np.concatenate(spent)
+                hit = first_solvable(segments)
+                if hit is not None:
+                    used, leaves = int(spent[hit]), leaves + hit + 1
+                    for _, start, stop in segments:
+                        if hit < stop - start:
+                            idxs = parent + (start - 1, start + hit)
+                            break
+                        hit -= stop - start
+                    x = linalg.solve(columns(idxs), target, p)
+                    if x is None:
+                        raise LemmaViolationError("batched span check and solve disagree on a leaf")
+                    return _witness_from_solution(shape, [entry(j) for j in idxs], x)
+                used, leaves = run, leaves + len(spent)
+            if over is not None:
+                used = over
                 raise _BudgetExhausted
-            M = np.hstack([e.block for e in combo])
-            x = linalg.solve(M, target, p)
-            if x is not None:
-                return _witness_from_solution(shape, combo, x)
         return None
 
     start_r = max(lovett, 1)
@@ -360,8 +473,8 @@ def prank_exact(
             found = search_depth(r)
         except _BudgetExhausted:
             return RankReport(
-                proven_lo, hi, proven_lo == hi, trivial, lovett, budget_box.used,
-                "node budget exhausted",
+                proven_lo, hi, proven_lo == hi, trivial, lovett, used,
+                "node budget exhausted", leaves,
             )
         if found is not None:
             witness = PartitionDecomposition(alpha, found)
@@ -374,12 +487,12 @@ def prank_exact(
                 # depths below r were searched exhaustively
                 if size != r:
                     raise LemmaViolationError(f"exhaustive search found a witness of size {size} at depth {r}")
-                return RankReport(r, r, True, witness, lovett, budget_box.used)
+                return RankReport(r, r, True, witness, lovett, used, leaves=leaves)
             if size == proven_lo:
-                return RankReport(size, size, True, witness, lovett, budget_box.used)
+                return RankReport(size, size, True, witness, lovett, used, leaves=leaves)
             return RankReport(
-                proven_lo, size, False, witness, lovett, budget_box.used,
-                "witness found but some bipartition was not enumerable",
+                proven_lo, size, False, witness, lovett, used,
+                "witness found but some bipartition was not enumerable", leaves,
             )
         # rank-1 detection at depth 1 is complete regardless of the pool
         if r == 1 or complete:
@@ -389,7 +502,7 @@ def prank_exact(
         if complete
         else "some bipartition has no desk-scale factor side"
     )
-    return RankReport(proven_lo, hi, proven_lo == hi, trivial, lovett, budget_box.used, reason)
+    return RankReport(proven_lo, hi, proven_lo == hi, trivial, lovett, used, reason, leaves)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rankforge.analytic import box_norm, chi_table, exact_bias
 from rankforge.cli import main
-from rankforge.forms import MultiaffineMap, MultilinearMap, Shape, map_to_json
+from rankforge.forms import MultiaffineMap, MultilinearMap, Shape, map_to_json, random_multilinear
 
 
 def write_map(tmp_path, f, name="m.json"):
@@ -53,6 +55,27 @@ def test_boxnorm(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["box_norm_power"] == pytest.approx(0.5)
     assert payload["bias_exact"] == {"num": 1, "den": 2}
+
+
+def test_boxnorm_multilinear_uses_exact_bias(tmp_path, capsys):
+    # the box average of (2,(6,6,6)) has 2^54 points; the exact bias needs 64 slice ranks
+    f = random_multilinear(Shape(2, (6, 6, 6)), 1, [53, 0])
+    code, out = run(capsys, ["boxnorm", "--map", write_map(tmp_path, f)])
+    assert code == 0
+    payload = json.loads(out)
+    bias = Fraction(payload["bias_exact"]["num"], payload["bias_exact"]["den"])
+    assert bias == exact_bias(f)
+    assert payload["box_norm"] == float(bias) ** (1 / 8)
+    assert payload["box_norm_power"] == pytest.approx(float(bias), rel=1e-12)
+
+
+@pytest.mark.parametrize("p,dims", [(2, (2, 2)), (3, (1, 2)), (2, (1, 1, 2)), (5, (1, 1)), (2, (1, 1, 1, 1))])
+def test_boxnorm_multilinear_matches_enumerated_box_average(tmp_path, capsys, p, dims):
+    for seed in range(3):
+        f = random_multilinear(Shape(p, dims), 1, [59, seed])
+        code, out = run(capsys, ["boxnorm", "--map", write_map(tmp_path, f)])
+        assert code == 0
+        assert json.loads(out)["box_norm"] == pytest.approx(box_norm(f.shape, chi_table(f)), abs=1e-12)
 
 
 def test_variety_density_and_connect(tmp_path, capsys):

@@ -1,13 +1,24 @@
+import json
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rankforge import linalg
 from rankforge.analytic import exact_bias
-from rankforge.forms import MultilinearMap, Shape, random_multilinear
+from rankforge.cli import main
+from rankforge.errors import LemmaViolationError
+from rankforge.forms import MultilinearMap, Shape, map_to_json, random_multilinear
 from rankforge.partition import (
+    DEFAULT_BUDGET,
+    MODE_CAP,
+    PartitionDecomposition,
+    PartitionSummand,
+    RankReport,
     bilinear_strong_decomposition,
     canonical_subsets,
     flatten,
@@ -267,3 +278,189 @@ def test_prank_witness_deterministic_across_calls():
         assert sa.subset == sb.subset
         assert np.array_equal(sa.beta.coeffs, sb.beta.coeffs)
         assert np.array_equal(sa.gamma.coeffs, sb.gamma.coeffs)
+
+
+# ---------------------------------------------------------------------------
+#  The per-leaf search, kept as the oracle of the prefix-batched one
+# ---------------------------------------------------------------------------
+
+def _oracle_pool(shape):
+    """Every (subset, enum_on_subset, factor, block) entry, blocks materialized,
+    in the search's pool order."""
+    p, k = shape.p, shape.k
+    entries, complete = [], True
+    for I in canonical_subsets(k):
+        Is = sorted(I)
+        comp = [i for i in range(1, k + 1) if i not in I]
+        nb = int(np.prod([shape.dims[i - 1] for i in Is]))
+        ng = int(np.prod([shape.dims[i - 1] for i in comp]))
+        count_I, count_C = (p ** nb - 1) // (p - 1), (p ** ng - 1) // (p - 1)
+        if min(count_I, count_C) > MODE_CAP:
+            complete = False
+            continue
+        on_subset = count_I <= count_C
+        side_shape = shape.sub(I if on_subset else comp)
+        n_side = nb if on_subset else ng
+        for flat in range(1, p ** n_side):
+            digits = np.array([(flat // p ** (n_side - 1 - t)) % p for t in range(n_side)], dtype=np.int64)
+            if digits[np.flatnonzero(digits)[0]] != 1:
+                continue
+            factor = MultilinearMap(side_shape, 1, digits.reshape(side_shape.dims + (1,)))
+            col = digits.reshape(-1, 1)
+            raw = np.kron(col, np.eye(ng, dtype=np.int64)) if on_subset else np.kron(np.eye(nb, dtype=np.int64), col)
+            tens = raw.reshape([shape.dims[i - 1] for i in Is + comp] + [raw.shape[1]])
+            tens = tens.transpose(np.argsort(Is + comp).tolist() + [k])
+            entries.append((I, on_subset, factor, tens.reshape(-1, raw.shape[1]) % p))
+    return entries, complete
+
+
+def _oracle_witness(shape, combo, x):
+    p = shape.p
+    summands, offset = [], 0
+    for I, on_subset, factor, block in combo:
+        chunk = x[offset : offset + block.shape[1]] % p
+        offset += block.shape[1]
+        if not chunk.any():
+            continue
+        if on_subset:
+            gshape = shape.sub(frozenset(range(1, shape.k + 1)) - I)
+            beta, gamma = factor, MultilinearMap(gshape, 1, chunk.reshape(gshape.dims + (1,)))
+        else:
+            bshape = shape.sub(I)
+            lead = int(chunk[np.flatnonzero(chunk)[0]])
+            beta = MultilinearMap(bshape, 1, (chunk * pow(lead, p - 2, p) % p).reshape(bshape.dims + (1,)))
+            gamma = MultilinearMap(factor.shape, 1, factor.coeffs * lead % p)
+        summands.append(PartitionSummand(I, beta, gamma))
+    return summands
+
+
+def prank_per_leaf_oracle(alpha, r_max=6, budget=DEFAULT_BUDGET):
+    """The search as one `linalg.solve` per leaf, charging each leaf's unknowns
+    before solving it; the witness and report rules are prank_exact's."""
+    shape, p = alpha.shape, alpha.shape.p
+    if alpha.is_zero():
+        return RankReport(0, 0, True, PartitionDecomposition(alpha, []), 0, 0)
+    lovett = lovett_lower_bound(alpha)
+    trivial = monomial_decomposition(alpha)
+    hi = len(trivial)
+    pool, complete = _oracle_pool(shape)
+    target = alpha.coeffs[..., 0].reshape(-1)
+    used = leaves = 0
+    proven_lo = start_r = max(lovett, 1)
+    for r in range(start_r, min(r_max, hi) + 1):
+        found = None
+        if r == 1:
+            used += 1
+            if used > budget:
+                return RankReport(proven_lo, hi, proven_lo == hi, trivial, lovett, used, "node budget exhausted", leaves)
+            leaves += 1
+            w = is_partition_rank_le1(alpha)
+            found = [w] if w is not None else None
+        else:
+            for idxs in combinations(range(len(pool)), r):
+                combo = [pool[i] for i in idxs]
+                used += sum(e[3].shape[1] for e in combo)
+                if used > budget:
+                    return RankReport(proven_lo, hi, proven_lo == hi, trivial, lovett, used, "node budget exhausted", leaves)
+                leaves += 1
+                x = linalg.solve(np.hstack([e[3] for e in combo]), target, p)
+                if x is not None:
+                    found = _oracle_witness(shape, combo, x)
+                    break
+        if found is not None:
+            witness = PartitionDecomposition(alpha, found)
+            size = len(witness)
+            if complete or size == proven_lo:
+                return RankReport(size, size, True, witness, lovett, used, leaves=leaves)
+            return RankReport(proven_lo, size, False, witness, lovett, used,
+                              "witness found but some bipartition was not enumerable", leaves)
+        if r == 1 or complete:
+            proven_lo = r + 1
+    reason = None if proven_lo == hi else (
+        f"search truncated at r_max={min(r_max, hi)}" if complete else "some bipartition has no desk-scale factor side"
+    )
+    return RankReport(proven_lo, hi, proven_lo == hi, trivial, lovett, used, reason, leaves)
+
+
+def planted_form(p, dims, rank, seed):
+    """A sum of `rank` random summands beta(x_I) * gamma(x_[k]-I) over random canonical I."""
+    sh = Shape(p, tuple(dims))
+    rng = np.random.default_rng(seed)
+    subsets = canonical_subsets(sh.k)
+    total = np.zeros(sh.dims, dtype=np.int64)
+    for _ in range(rank):
+        I = subsets[rng.integers(len(subsets))]
+        comp = frozenset(range(1, sh.k + 1)) - I
+        b, g = sh.sub(I), sh.sub(comp)
+        beta = MultilinearMap(b, 1, rng.integers(0, p, size=b.dims + (1,)))
+        gamma = MultilinearMap(g, 1, rng.integers(0, p, size=g.dims + (1,)))
+        total += PartitionSummand(I, beta, gamma).coeff_tensor(sh)
+    return MultilinearMap(sh, 1, (total % p).reshape(sh.dims + (1,)))
+
+
+def report_key(rep):
+    summands = [] if rep.witness is None else [
+        (sorted(s.subset), s.beta.coeffs.tolist(), s.gamma.coeffs.tolist()) for s in rep.witness.summands
+    ]
+    return (rep.prank_lo, rep.prank_hi, rep.exact, rep.nodes, rep.leaves, rep.truncated_reason,
+            rep.lovett_lower, summands)
+
+
+# shapes whose searches go past the first leaf: (2,(3,3,4)) has blocks of widths 12, 9 and 12
+SEARCH_SHAPES = [(2, (2, 2, 2)), (3, (2, 2, 2)), (3, (3, 3)), (2, (4, 4)), (2, (3, 3, 3)), (2, (3, 3, 4)),
+                 (3, (3, 3, 3)), (2, (2, 2, 3, 3)), (2, (3, 3, 3, 3))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(SEARCH_SHAPES),
+    st.sampled_from([None, 1, 2, 3]),
+    st.integers(0, 10_000),
+    st.integers(1, 6_000),
+)
+@example((2, (3, 3, 4)), 3, 0, 6_000)
+@example((2, (3, 3, 4)), 2, 1, 6_000)
+@example((3, (3, 3, 3)), None, 1, 6_000)
+@example((2, (3, 3, 3, 3)), None, 0, 2_000)
+def test_prank_matches_per_leaf_oracle(shape, planted, seed, budget):
+    p, dims = shape
+    f = random_multilinear(Shape(p, dims), 1, [43, seed]) if planted is None else planted_form(p, dims, planted, seed)
+    expected = prank_per_leaf_oracle(f, budget=budget)
+    assert report_key(prank_exact(f, budget=budget)) == report_key(expected)
+    if expected.nodes > 1:
+        # budgets ending exactly on the last leaf charged, and one unit short of it
+        for b in (expected.nodes, expected.nodes - 1):
+            assert report_key(prank_exact(f, budget=b)) == report_key(prank_per_leaf_oracle(f, budget=b))
+
+
+def test_prank_leaves_counted_apart_from_units():
+    f = random_multilinear(Shape(2, (3, 3, 4)), 1, [43, 2])
+    rep = prank_exact(f)
+    assert rep.exact and rep.nodes > rep.leaves > 1
+    assert report_key(rep) == report_key(prank_per_leaf_oracle(f))
+    assert prank_exact(xyz()).leaves == 1
+    assert prank_exact(form(2, (2, 2), np.zeros(4))).leaves == 0
+
+
+def test_solve_disagreement_is_a_lemma_violation(monkeypatch):
+    monkeypatch.setattr(linalg, "solve", lambda A, b, p: None)
+    with pytest.raises(LemmaViolationError):
+        prank_exact(form(2, (2, 2), np.eye(2)))
+
+
+def test_large_pool_is_not_materialized(tmp_path, capsys):
+    # the materialized pool of (2,(10,10,10)) took 3069 blocks of 1000 x 100 entries (2.5 GB)
+    f = random_multilinear(Shape(2, (10, 10, 10)), 1, [47, 0])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(map_to_json(f)))
+    tracemalloc.start()
+    try:
+        code = main(["prank", "--map", str(path), "--rmax", "12", "--budget-nodes", "100"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and not out["exact"] and out["truncated_reason"] == "node budget exhausted"
+    assert out["prank_lo"] == out["lovett_lower"] >= 2
+    assert out["nodes"] == 100 * out["prank_lo"]  # the first leaf, refused before any elimination
+    assert peak < 64 * 2 ** 20
