@@ -89,21 +89,8 @@ def addition_table(p: int, n: int) -> np.ndarray:
     return T
 
 
-def vec_to_code(p: int, vec) -> int:
-    code = 0
-    for j, e in enumerate(vec):
-        code += (int(e) % p) * p ** j
-    return code
-
-
 def code_to_vec(p: int, n: int, code: int) -> tuple[int, ...]:
     return tuple(int((code // p ** j) % p) for j in range(n))
-
-
-def point_to_codes(shape: Shape, xs) -> tuple[int, ...]:
-    if len(xs) != shape.k:
-        raise ValueError(f"expected {shape.k} coordinates, got {len(xs)}")
-    return tuple(vec_to_code(shape.p, x) for x in xs)
 
 
 def codes_to_point(shape: Shape, codes) -> tuple[tuple[int, ...], ...]:
@@ -247,10 +234,6 @@ class MultiaffineMap:
 
 
 Map = MultilinearMap | MultiaffineMap
-
-
-def zero_map(shape: Shape, m: int = 1) -> MultiaffineMap:
-    return MultiaffineMap(shape, m, {})
 
 
 def as_multiaffine(f: Map) -> MultiaffineMap:
@@ -407,16 +390,6 @@ def compose_output(f: Map, M) -> Map:
         return MultilinearMap(f.shape, s, f.coeffs @ M % f.shape.p)
     parts = {I: C @ M % f.shape.p for I, C in f.parts.items()}
     return MultiaffineMap(f.shape, s, parts)
-
-
-def add_maps(f: Map, g: Map) -> MultiaffineMap:
-    if f.shape != g.shape or f.m != g.m:
-        raise ValueError("shape mismatch")
-    fa, ga = as_multiaffine(f), as_multiaffine(g)
-    parts = dict(fa.parts)
-    for I, C in ga.parts.items():
-        parts[I] = (parts[I] + C) % f.shape.p if I in parts else C
-    return MultiaffineMap(f.shape, f.m, parts)
 
 
 def stack_maps(maps) -> MultiaffineMap:

@@ -1,4 +1,6 @@
-"""Dense linear algebra mod p: Gaussian elimination, rank, solving, nullspaces."""
+"""Dense linear algebra mod p: one batched Gauss-Jordan kernel (`_eliminate`)
+behind rank, solvability and left nullspaces of stacks, and behind the
+reduced row echelon form, solving, nullspaces and CR factors of one matrix."""
 
 from __future__ import annotations
 
@@ -7,85 +9,73 @@ import numpy as np
 from .errors import LemmaViolationError
 
 
-def _as_mat(M, p: int) -> np.ndarray:
-    A = np.array(M, dtype=np.int64) % p
+def _as_mat(M) -> np.ndarray:
+    A = np.asarray(M, dtype=np.int64)
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     return A
 
 
-def row_echelon(M, p: int):
-    """Reduced row echelon form.  Returns (R, pivot_cols)."""
-    A = _as_mat(M, p)
-    rows, cols = A.shape
-    r = 0
-    pivots: list[int] = []
-    for c in range(cols):
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = A[r] * inv % p
-        factors = A[:, c].copy()
-        factors[r] = 0
-        if factors.any():
-            A -= np.outer(factors, A[r])
-            A %= p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return A, pivots
-
-
-def rank(M, p: int) -> int:
-    return len(row_echelon(M, p)[1])
-
-
 def _inverse_many(a: np.ndarray, p: int) -> np.ndarray:
     """Elementwise a^(p-2) mod p by square-and-multiply: a^-1 for nonzero entries."""
-    out = np.ones_like(a)
+    out = None
     base = a % p
     e = p - 2
     while e:
         if e & 1:
-            out = out * base % p
-        base = base * base % p
+            out = base if out is None else out * base % p
         e >>= 1
-    return out
+        if e:
+            base = base * base % p
+    return np.ones_like(a) if out is None else out
 
 
 def _eliminate(A: np.ndarray, p: int, ncols: int) -> np.ndarray:
-    """Batched elimination of the first `ncols` columns of a (B, r, c) stack,
-    in place; returns the (B, r) mask of the rows used as pivots.
+    """Batched Gauss-Jordan elimination of the first `ncols` columns of a
+    (B, r, c) stack, in place.  Returns a (B, r) int64 array that holds
+    j - ncols for the row that took its pivot in column j and 0 for rows never
+    used as pivots: the pivot rows are its nonzero entries, and an ascending
+    sort lists them by pivot column.
 
-    Instead of swapping rows, each matrix marks its pivot rows as used; a
-    pivot clears its column in the rows not used yet, and the update reaches
-    every later column.  Entries are reduced mod p only where they are read
-    (the pivot column and row), so a pass is one multiply-subtract and entries
-    stay below min(r, ncols) * p^2; `_work_dtype` picks a type that holds them.
+    Instead of swapping rows, each matrix marks its pivot rows.  A pivot row
+    is not scaled; it clears its column in every other row, the earlier
+    pivot rows included.  Entries are reduced mod p only where they are read
+    (the pivot column and row), so a pass adds at most one product below
+    (p-1)^2 to each entry of any row, and a matrix gets at most
+    min(r, ncols) passes with a pivot: entries stay below
+    min(r, ncols) * (p-1)^2 + p, the bound `_work_dtype` sizes the work type
+    by, whether or not pivot rows are cleared too.  The loop stops once
+    every row of every matrix holds a pivot.
     """
-    B, r, c = A.shape
-    used = np.zeros((B, r), dtype=bool)
+    B, r, _ = A.shape
+    pivot_col = np.zeros((B, r), dtype=np.int64)
     batch = np.arange(B)
+    full = 0  # passes in which every matrix took a pivot
     for j in range(ncols):
         col = A[:, :, j] % p
-        cand = (col != 0) & ~used
+        cand = np.logical_and(col, pivot_col == 0)
         has = cand.any(axis=1)
-        if not has.any():
+        found = np.count_nonzero(has)
+        if not found:
             continue
         src = cand.argmax(axis=1)
-        used[batch, src] |= has
-        # a matrix without a pivot in this column gets a zero pivot row: no-op
-        piv = A[batch, src, j + 1:] % p
-        piv *= (_inverse_many(col[batch, src], p) * has)[:, None]
-        piv %= p
-        factors = np.where(used, 0, col)
-        A[:, :, j + 1:] -= factors[:, :, None] * piv[:, None, :]
-    return used
+        piv = A[batch, src, j:] % p
+        if p > 2:
+            piv *= _inverse_many(col[batch, src], p)[:, None]
+            piv %= p
+        if found == B:
+            pivot_col[batch, src] = j - ncols
+            full += 1
+        else:
+            pivot_col[has, src[has]] = j - ncols
+            # a matrix without a pivot in this column gets a zero pivot row: no-op
+            piv *= has[:, None]
+        col[batch, src] = 0
+        rest = A[:, :, j:]  # updated through the view: `A[...] -=` would copy it back onto itself
+        rest -= col[:, :, None] * piv[:, None, :]
+        if full == r:
+            break
+    return pivot_col
 
 
 _WORK_DTYPES = [(np.int16, 2 ** 15 - 1), (np.int32, 2 ** 31 - 1), (np.int64, 2 ** 63 - 1)]
@@ -120,7 +110,7 @@ def rank_many(stack, p: int) -> np.ndarray:
         A = A.transpose(0, 2, 1)
     work = np.empty(A.shape, dtype=_work_dtype(A.shape[2], p))
     np.remainder(A, p, out=work, casting="unsafe")
-    return _eliminate(work, p, A.shape[2]).sum(axis=1, dtype=np.int64)
+    return np.count_nonzero(_eliminate(work, p, A.shape[2]), axis=1).astype(np.int64, copy=False)
 
 
 def solvable_many(stack, b, p: int) -> np.ndarray:
@@ -139,8 +129,8 @@ def solvable_many(stack, b, p: int) -> np.ndarray:
     aug = np.empty((B, r, c + 1), dtype=_work_dtype(min(r, c), p))
     np.remainder(A, p, out=aug[:, :, :c], casting="unsafe")
     aug[:, :, c] = np.asarray(b, dtype=np.int64) % p
-    used = _eliminate(aug, p, c)
-    return ~((aug[:, :, c] % p != 0) & ~used).any(axis=1)
+    unused = _eliminate(aug, p, c) == 0
+    return ~((aug[:, :, c] % p != 0) & unused).any(axis=1)
 
 
 def left_nullspace_many(stack, p: int):
@@ -158,51 +148,74 @@ def left_nullspace_many(stack, p: int):
     aug = np.zeros((B, r, c + r), dtype=_work_dtype(min(r, c), p))
     np.remainder(A, p, out=aug[:, :, :c], casting="unsafe")
     aug[:, :, c:] = np.eye(r, dtype=aug.dtype)
-    used = _eliminate(aug, p, c)
-    return (aug[:, :, c:] % p).astype(np.int64), ~used
+    unused = _eliminate(aug, p, c) == 0
+    return (aug[:, :, c:] % p).astype(np.int64), unused
 
 
-def in_row_span(v, rows, p: int) -> bool:
-    """Whether v lies in the row span of `rows` over F_p."""
-    A = _as_mat(rows, p) if len(rows) else np.zeros((0, len(v)), dtype=np.int64)
-    base = rank(A, p)
-    aug = np.vstack([A, np.asarray(v, dtype=np.int64) % p])
-    return rank(aug, p) == base
+def _echelon(A: np.ndarray, p: int, ncols: int):
+    """The reduced row echelon form of a 2-d int64 matrix over its first
+    `ncols` columns, read from one B = 1 pass of `_eliminate`.
+
+    Returns (R, pivots): R has A's shape, its first len(pivots) rows are the
+    pivot rows ordered by pivot column and scaled to a leading 1, and the
+    rows without a pivot follow, zero in the first `ncols` columns.  Columns
+    from `ncols` on (an augmented right-hand side) are carried along.
+    """
+    rows, c = A.shape
+    work = np.empty((1, rows, c), dtype=_work_dtype(min(rows, ncols), p))
+    np.remainder(A, p, out=work[0], casting="unsafe")
+    pivot_col = _eliminate(work, p, ncols)[0]
+    rank = np.count_nonzero(pivot_col)
+    order = pivot_col.argsort()  # pivot rows by pivot column, then the rest
+    pivots = pivot_col[order[:rank]] + ncols
+    R = np.remainder(work[0, order], p, dtype=np.int64)
+    if p > 2:
+        top = R[:rank]
+        top *= _inverse_many(top[np.arange(rank), pivots], p)[:, None]
+        top %= p
+    return R, pivots
+
+
+def row_echelon(M, p: int):
+    """Reduced row echelon form.  Returns (R, pivot_cols): R has M's shape,
+    with the pivot rows first and zero rows after them."""
+    A = _as_mat(M)
+    R, pivots = _echelon(A, p, A.shape[1])
+    return R, pivots.tolist()
 
 
 def solve(A, b, p: int):
-    """One solution x of A x = b mod p, or None if inconsistent."""
-    A = _as_mat(A, p)
-    b = np.asarray(b, dtype=np.int64) % p
-    rows, cols = A.shape
-    R, pivots = row_echelon(np.hstack([A, b.reshape(-1, 1)]), p)
-    if cols in pivots:
+    """One solution x of A x = b mod p, or None if inconsistent.  x is zero
+    outside the pivot columns of A."""
+    A = _as_mat(A)
+    cols = A.shape[1]
+    R, pivots = _echelon(np.concatenate([A, np.asarray(b, dtype=np.int64).reshape(-1, 1)], axis=1), p, cols)
+    if R[len(pivots):, cols].any():
         return None
     x = np.zeros(cols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = R[i, cols]
+    x[pivots] = R[: len(pivots), cols]
     return x
 
 
 def nullspace(A, p: int) -> np.ndarray:
     """Basis of the right nullspace as rows of a (d x cols) matrix."""
-    A = _as_mat(A, p)
-    rows, cols = A.shape
-    R, pivots = row_echelon(A, p)
-    free = np.setdiff1d(np.arange(cols), pivots)
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
+    A = _as_mat(A)
+    cols = A.shape[1]
+    R, pivots = _echelon(A, p, cols)
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    basis = np.zeros((cols - len(pivots), cols), dtype=np.int64)
+    basis[np.arange(len(basis)), free.nonzero()[0]] = 1
     basis[:, pivots] = -R[: len(pivots), free].T % p
     return basis
 
 
 def rank_factors(M, p: int):
     """CR decomposition M = C @ R mod p with C = pivot columns of M, R = rref rows."""
-    A = _as_mat(M, p)
+    A = _as_mat(M) % p
     R, pivots = row_echelon(A, p)
-    r = len(pivots)
-    C = A[:, pivots].copy()
-    R = R[:r].copy()
+    C = A[:, pivots]
+    R = R[: len(pivots)]
     if not np.array_equal(C @ R % p, A):
         raise LemmaViolationError("CR decomposition does not reconstruct its matrix")
     return C, R

@@ -131,7 +131,7 @@ def flatten(alpha: MultilinearMap, I) -> np.ndarray:
 
 
 def matrix_rank(M, p: int) -> int:
-    return linalg.rank(M, p)
+    return int(linalg.rank_many(np.asarray(M)[None], p)[0])
 
 
 def canonical_subsets(k: int):

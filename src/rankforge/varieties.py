@@ -336,17 +336,6 @@ def _bfs_distances(member: np.ndarray, start_idx: tuple) -> np.ndarray:
         frontier = nxt
 
 
-def membership_table(shape: Shape, predicate, max_points: int = TRAVERSAL_GUARD) -> np.ndarray:
-    """Boolean grid from a predicate on points (tuples of vectors)."""
-    from .forms import codes_to_point, domain_codes
-
-    shape.guard(shape.domain_size, max_points, "membership table")
-    out = np.zeros(shape.sizes, dtype=bool)
-    for codes in domain_codes(shape):
-        out[codes] = bool(predicate(codes_to_point(shape, codes)))
-    return out
-
-
 def connectivity(
     shape: Shape,
     member: np.ndarray,

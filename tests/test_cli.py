@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankforge.analytic import box_norm, chi_table, exact_bias
 from rankforge.cli import main
@@ -297,3 +303,114 @@ def test_scatter_exhaustive_trilinear_invariant(tmp_path):
         rec = dict(zip(cols, row.split(",")))
         assert int(rec["prank_is_exact"]) == 1
         assert int(rec["lovett_lower"]) <= int(rec["prank_lo"])
+
+
+# ---------------------------------------------------------------------------
+#  Fuzzing the front door: bad input exits 2 (or 3 for a resource guard),
+#  never 1 and never with an uncaught exception
+# ---------------------------------------------------------------------------
+
+def _exit_code(argv, cwd) -> int:
+    """`main(argv)` run in `cwd`, so that an `--out` with a relative path writes there."""
+    home = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+    except SystemExit as e:  # argparse: 2 for bad flags, 0 for --help and --version
+        return e.code
+    finally:
+        os.chdir(home)
+
+
+FIELD_NAMES = ["p", "dims", "target_dim", "parts", "subset", "coeffs", "n", "terms", "exp", "c"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.text(max_size=3)
+    | st.sampled_from([2 ** 61 - 1, 2 ** 63, -(2 ** 63), 10 ** 30, 0.5, -1e300]),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=3), kids, max_size=3),
+    max_leaves=10,
+)
+FUZZ_MAPS = [
+    GOOD_MAP,
+    {"p": 3, "dims": [1, 2], "target_dim": 2,
+     "parts": [{"subset": [1], "coeffs": [1, 2]}, {"subset": [], "coeffs": [0, 1]},
+               {"subset": [1, 2], "coeffs": [1, 0, 2, 1]}]},
+    {"p": 2, "dims": [1, 1, 1], "parts": [{"subset": [1, 2, 3], "coeffs": [1]}]},
+]
+FUZZ_POLYS = [
+    {"p": 5, "n": 2, "terms": [{"exp": [2, 0], "c": 1}, {"exp": [1, 1], "c": 3}]},
+    {"p": 3, "n": 3, "terms": [{"exp": [1, 1, 1], "c": 2}, {"exp": [0, 0, 0], "c": 1}]},
+]
+MAP_COMMANDS = [["arank"], ["prank"], ["boxnorm"], ["variety", "density"], ["variety", "connect"],
+                ["variety", "bohr"], ["conv"], ["conv", "--histogram"]]
+
+
+def _paths(obj, here=()):
+    yield here
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, here + (key,))
+
+
+@st.composite
+def mutated(draw, originals):
+    """A valid input with one to three values replaced by arbitrary JSON or removed."""
+    obj = copy.deepcopy(draw(st.sampled_from(originals)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        if not path:
+            obj = draw(JSON_VALUES)
+            continue
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(JSON_VALUES)
+        else:
+            del parent[path[-1]]
+    return obj
+
+
+def _fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.getbasetemp() / "fuzz"
+    d.mkdir(exist_ok=True)
+    return d
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(FUZZ_MAPS), st.sampled_from(MAP_COMMANDS))
+def test_fuzz_bad_map_json(tmp_path_factory, obj, command):
+    path = _fuzz_dir(tmp_path_factory) / "m.json"
+    path.write_text(json.dumps(obj))
+    assert _exit_code(command + ["--map", str(path)], path.parent) in (0, 2, 3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutated(FUZZ_POLYS))
+def test_fuzz_bad_poly_json(tmp_path_factory, obj):
+    path = _fuzz_dir(tmp_path_factory) / "p.json"
+    path.write_text(json.dumps(obj))
+    assert _exit_code(["polarize", "--poly", str(path)], path.parent) in (0, 2, 3)
+
+
+SUBCOMMANDS = ["arank", "prank", "boxnorm", "variety", "conv", "arrange", "polarize", "scatter", "nope"]
+FLAGS = ["--map", "--poly", "--out", "--format", "--summary", "--rmax", "--budget-nodes", "--layer",
+         "--seed", "--s", "--epsilon", "--chain", "--histogram", "--check", "--count", "--p", "--dims",
+         "--exhaustive", "--version", "-h", "--bogus"]
+# small numbers only: a well-formed --count or --dims must stay quick
+VALUES = ["density", "connect", "bohr", "json", "csv", "x", "", "-1", "0", "1", "2", "3", "4",
+          "1,2", "2,1", "1,1", "0,1", "1,,2", "3,-1", "1/2", "-1/2", "nan", "inf", "1e400"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SUBCOMMANDS), st.lists(st.sampled_from(FLAGS + VALUES + ["MAP", "POLY", "FILE"]),
+                                              max_size=8))
+def test_fuzz_bad_flags(tmp_path_factory, command, tokens):
+    d = _fuzz_dir(tmp_path_factory)
+    (d / "good_map.json").write_text(json.dumps(GOOD_MAP))
+    (d / "good_poly.json").write_text(json.dumps(FUZZ_POLYS[0]))
+    files = {"MAP": str(d / "good_map.json"), "POLY": str(d / "good_poly.json"),
+             "FILE": str(d / "missing" / "out.json")}
+    argv = [command] + [files.get(t, t) for t in tokens]
+    assert _exit_code(argv, d) in (0, 2, 3)

@@ -360,18 +360,18 @@ def test_nonvanisher_examples():
 
 
 def test_nonvanisher_exhaustive_f2_cubed():
-    from rankforge import linalg
-
     vecs = [np.array(v) for v in product(range(2), repeat=3)]
     for v1 in vecs:
         for v2 in vecs:
             for m in range(3):
                 for us in product(vecs, repeat=m):
+                    # span of the u-tuple by direct enumeration of combinations
+                    span = {
+                        tuple(sum(c * u for c, u in zip(combo, us)) % 2) if m else (0,) * 3
+                        for combo in product(range(2), repeat=m)
+                    }
                     z = find_common_nonvanisher(v1, v2, list(us), 2)
-                    expected = not (
-                        linalg.in_row_span(v1, [u for u in us], 2)
-                        or linalg.in_row_span(v2, [u for u in us], 2)
-                    )
+                    expected = tuple(v1) not in span and tuple(v2) not in span
                     assert (z is not None) == expected
                     if z is not None:
                         assert int(v1 @ z % 2) != 0 and int(v2 @ z % 2) != 0
