@@ -9,9 +9,7 @@ needed only there.
 from __future__ import annotations
 
 import math
-import os
 import string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,20 +26,11 @@ from .forms import (
     Shape,
     digit_matrix,
     scalar_table,
+    top_part,
 )
 
 CHI_TOL = 1e-9
 BOX_GUARD = 1 << 13  # |G| cap for the 2k-fold box-norm average
-
-_PARALLEL_MIN = 1 << 18  # partition histogram enumeration above this many points
-
-
-def worker_count() -> int:
-    """Worker count for partitioned enumeration, RANKFORGE_THREADS overrides."""
-    env = os.environ.get("RANKFORGE_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def plain_log(p: int, x: float) -> float:
@@ -91,36 +80,19 @@ def value_histogram(
     restriction: np.ndarray | None = None,
     max_points: int = DEFAULT_ENUM_GUARD,
 ) -> ValueHistogram:
-    """Exact histogram of a scalar map by full enumeration.
-
-    `restriction` is an optional boolean membership grid; only points inside
-    it are counted.  On domains of at least `_PARALLEL_MIN` points the x_1
-    codes are split into row blocks, counted on `worker_count()` threads
-    (RANKFORGE_THREADS); the blocks' integer counts are summed, so the result
-    does not depend on the thread count.
-    """
+    """Exact histogram of a scalar map by full enumeration, the oracle of
+    `bias_report`'s slice counts.  `restriction` is an optional boolean
+    membership grid; only points inside it are counted."""
     if f.m != 1:
         raise ValueError("value_histogram needs a scalar-valued map")
     shape = f.shape
     shape.guard(shape.domain_size, max_points, "histogram enumeration")
     if restriction is not None and restriction.shape != shape.sizes:
         raise ValueError("restriction grid does not match the domain")
-    lead = shape.sizes[0]
-    blocks = min(worker_count(), lead) if shape.domain_size >= _PARALLEL_MIN else 1
-    bounds = np.linspace(0, lead, blocks + 1, dtype=int)
-
-    def count(b: int) -> np.ndarray:
-        rows = slice(bounds[b], bounds[b + 1])
-        vals = scalar_table(f, max_points, rows)
-        if restriction is not None:
-            vals = vals[restriction[rows]]
-        return np.bincount(vals.reshape(-1), minlength=shape.p)
-
-    if blocks == 1:
-        counts = count(0)
-    else:
-        with ThreadPoolExecutor(max_workers=blocks) as pool:
-            counts = sum(pool.map(count, range(blocks)))
+    vals = scalar_table(f, max_points)
+    if restriction is not None:
+        vals = vals[restriction]
+    counts = np.bincount(vals.reshape(-1), minlength=shape.p)
     total = shape.domain_size if restriction is None else int(restriction.sum())
     return ValueHistogram(shape.p, tuple(int(c) for c in counts), total)
 
@@ -135,70 +107,85 @@ class BiasReport:
 
 
 def bias_report(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> BiasReport:
-    """Bias of a scalar map: exact and with its analytic rank for a multilinear
-    form (`_rank_count_report`), the histogram-weighted character average
-    otherwise."""
-    if isinstance(f, MultilinearMap):
-        return _rank_count_report(f, max_points)
-    # multiaffine: report the complex bias; arank is declined
-    hist = value_histogram(f, max_points=max_points)
-    return BiasReport(hist, hist.chi_average(), None, None, None)
+    """Bias of a scalar map from its exact value histogram (`_slice_histogram`).
 
-
-def _slice_stack(f: MultilinearMap, max_points: int) -> np.ndarray:
-    """The matrices M(x) of the bilinear forms left by fixing all coordinates of a
-    k-linear form (k >= 2) but its two largest ones, a < b: a (p^S, n_a, n_b)
-    stack, where S sums the other dimensions.  The guard is on the stack's
-    p^S * n_a * n_b entries."""
-    shape = f.shape
-    p, dims = shape.p, shape.dims
-    a, b = sorted(sorted(range(shape.k), key=lambda i: dims[i])[-2:])
-    others = [i for i in range(shape.k) if i not in (a, b)]
-    shape.guard(p ** sum(dims[i] for i in others) * dims[a] * dims[b], max_points, "slice stack")
-    T = f.coeffs[..., 0].transpose(others + [a, b]).reshape(1, -1)
-    for i in others:
-        # contract the leading remaining coordinate with every point of G_i;
-        # sums of n_i products below p^2 fit int64 for any admitted Shape
-        T = np.matmul(digit_matrix(p, dims[i]), T.reshape(T.shape[0], dims[i], -1)) % p
-        T = T.reshape(-1, T.shape[-1])
-    return T.reshape(-1, dims[a], dims[b])
-
-
-def _rank_count_report(f: MultilinearMap, max_points: int) -> BiasReport:
-    """Exact bias, analytic rank, vanishing count and value histogram of a
-    multilinear form, from the ranks of its slice stack.
-
-    A bilinear form y^T M z has bias p^(-rank M), so E chi(f) = E_x p^(-rank M(x))
-    over the slice stack (Lovett 2019).  With P = p^(n_1 + ... + n_(k-1)) points
-    x_[k-1], the curried map x_[k-1] -> G_k vanishes V = bias * P times, and
-    f(x) = <A(x_[k-1]), x_k> is 0 on p^n_k points of G_k where A vanishes and on
-    p^(n_k - 1) elsewhere, so the histogram is
-    N_0 = V p^n_k + (P - V) p^(n_k - 1), every nonzero value (P - V) p^(n_k - 1).
-    All are integers; no point of the domain is enumerated.  The guard is
-    the slice stack's (see `_slice_stack`), and a histogram of p counts.
+    A multilinear form f(x) = <A(x_[k-1]), x_k> also gets its exact bias,
+    analytic rank and the zero count V of A over the P points x_[k-1]: f is
+    0 on all of G_k where A vanishes and on p^(n_k - 1) points elsewhere, so
+    N_0 - N_1 = V p^n_k and the bias is V / P.
     """
-    if f.m != 1:
-        raise ValueError("a bias needs a scalar-valued map")
-    shape = f.shape
-    p, dims = shape.p, shape.dims
-    shape.guard(p, max_points, "value histogram")
-    n_k = dims[-1]
-    P = p ** (sum(dims) - n_k)
-    if shape.k == 1:
-        vanish = 0 if f.coeffs.any() else 1  # the curried map is the coefficient vector
-    else:
-        stack = _slice_stack(f, max_points)
-        n_a, n_b = stack.shape[1:]
-        counts = np.bincount(linalg.rank_many(stack, p), minlength=min(n_a, n_b) + 1)
-        # E_x p^(-rank) * P: exponents are >= 0 since n_a, n_b are the two largest dims
-        vanish = sum(int(c) * p ** (n_a + n_b - n_k - r) for r, c in enumerate(counts))
-    nonzero = (P - vanish) * p ** (n_k - 1)
-    total = p ** sum(dims)
-    hist = ValueHistogram(p, (total - (p - 1) * nonzero,) + (nonzero,) * (p - 1), total)
-    exact = Fraction(vanish, P)
+    hist = _slice_histogram(f, max_points)
+    if not isinstance(f, MultilinearMap):
+        return BiasReport(hist, hist.chi_average(), None, None, None)
+    p = f.shape.p
+    exact = hist.exact_bias()
+    vanish = exact * (hist.total // f.shape.sizes[-1])
+    if vanish.denominator != 1:
+        raise LemmaViolationError(f"bias {exact} is not a zero density of the curried map")
     # a nonzero linear form has bias 0: its character sum cancels exactly
     ar = math.inf if exact == 0 else plain_log(p, exact.denominator) - plain_log(p, exact.numerator)
-    return BiasReport(hist, hist.chi_average(), exact, ar, vanish)
+    return BiasReport(hist, hist.chi_average(), exact, ar, int(vanish))
+
+
+def _slice_stack(f: Map, max_points: int) -> np.ndarray:
+    """The (p^S, n_a + 1, n_b + 1) stack of slices [[M, u], [v^T, c]], one per
+    point of the coordinates other than the two largest, a (n_a rows) and b
+    (n_b <= n_a columns; n_b = 0 when k = 1); S sums the other dimensions.
+    Each slice is the biaffine map g(y, z) = y^T M z + u.y + v.z + c.  Each
+    part of f is contracted with every point of its other coordinates and
+    added into the block its a and b select.  The guard is on the
+    p^S * n_a * n_b entries of the M blocks."""
+    shape = f.shape
+    p, dims = shape.p, shape.dims
+    by_size = sorted(range(shape.k), key=lambda i: dims[i])
+    a, b = by_size[-1], (by_size[-2] if shape.k > 1 else None)
+    others = sorted(by_size[:-2])
+    n_a, n_b = dims[a], (dims[b] if b is not None else 0)
+    sizes = [p ** dims[i] for i in others]
+    shape.guard(math.prod(sizes) * n_a * n_b, max_points, "slice stack")
+    E = np.zeros(sizes + [n_a + 1, n_b + 1], dtype=np.int64)
+    for I, C in f.parts.items():
+        axes = sorted(i - 1 for i in I)
+        fixed = [i for i in others if i in axes]
+        free = [i for i in (a, b) if i in axes]
+        T = C[..., 0].transpose([axes.index(i) for i in fixed + free]).reshape(1, -1)
+        for i in fixed:
+            # contract the leading remaining coordinate with every point of G_i;
+            # sums of n_i products below p^2 fit int64 for any admitted Shape
+            T = np.matmul(digit_matrix(p, dims[i]), T.reshape(T.shape[0], dims[i], -1)) % p
+            T = T.reshape(-1, T.shape[-1])
+        block = E[..., slice(n_a) if a in free else n_a, slice(n_b) if b in free else n_b]
+        block += T.reshape([s if i in fixed else 1 for i, s in zip(others, sizes)] + [dims[i] for i in free])
+    return E.reshape(-1, n_a + 1, n_b + 1)
+
+
+def _slice_histogram(f: Map, max_points: int) -> ValueHistogram:
+    """Exact value histogram of a scalar map from one elimination of its
+    slice stack over M's columns (`linalg.reduce_many`); no point of the
+    domain is enumerated.  A slice is balanced, every value p^(n_a+n_b-1)
+    times, if v^T takes a pivot or a row of M without one keeps a nonzero u
+    entry.  Otherwise g - t0, with t0 the reduced (v^T, c) row's last entry,
+    is a bilinear form of rank r = rank M after an affine change of
+    variables: every value (p^n_a - p^(n_a-r)) p^(n_b-1) times, and t0
+    p^(n_a-r+n_b) more.  The guard is the stack's, and one on p counts."""
+    if f.m != 1:
+        raise ValueError("a bias needs a scalar-valued map")
+    p = f.shape.p
+    f.shape.guard(p, max_points, "value histogram")
+    stack = _slice_stack(f, max_points)
+    B, n_a, n_b = stack.shape[0], stack.shape[1] - 1, stack.shape[2] - 1
+    pivot, carried = linalg.reduce_many(stack, p, n_b)
+    last = carried[:, :, 0] * ~pivot  # u entries left on rows of M without a pivot, then t0
+    balanced = pivot[:, n_a] | last[:, :n_a].any(axis=1)
+    # a balanced slice gives t0 "0 more"; every sum is at most B p^(n_a+n_b),
+    # the domain size, so int64 is exact
+    N = n_a + n_b
+    more = np.array([p ** (N - r) for r in range(n_b + 1)])[pivot.sum(axis=1)]
+    more[balanced] = 0
+    counts = np.zeros(p, dtype=np.int64)
+    np.add.at(counts, last[:, n_a], more)
+    counts += (B * p ** N - int(more.sum())) // p
+    return ValueHistogram(p, tuple(counts.tolist()), B * p ** N)
 
 
 def bias(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> complex:
@@ -245,16 +232,8 @@ class BiasHomogReport:
 
 def bias_homog_check(f: MultiaffineMap, max_points: int = DEFAULT_ENUM_GUARD) -> BiasHomogReport:
     """|E chi(f)| <= E chi(top multilinear part), the latter a real rational."""
-    if f.m != 1:
-        raise ValueError("bias_homog_check needs a scalar-valued map")
-    shape = f.shape
-    full = frozenset(range(1, shape.k + 1))
-    top_coeffs = f.parts.get(full)
-    if top_coeffs is None:
-        top_coeffs = np.zeros(shape.dims + (1,), dtype=np.int64)
-    top = MultilinearMap(shape, 1, top_coeffs)
     lhs = abs(bias(f, max_points))
-    rhs = exact_bias(top, max_points)
+    rhs = exact_bias(top_part(f), max_points)
     return BiasHomogReport(lhs, rhs, lhs <= float(rhs) + CHI_TOL)
 
 
@@ -329,5 +308,5 @@ def gcs_check(shape: Shape, tables: dict) -> GcsReport:
 
 def chi_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
     """The complex grid chi(f(x)) of a scalar map."""
-    field = PrimeField(f.shape.p)
-    return field.char_table[scalar_table(f, max_points)]
+    values = scalar_table(f, max_points)  # guards the domain, so p too, before the O(p) character table
+    return PrimeField(f.shape.p).char_table[values]

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .analytic import bias_report, box_norm, chi_table, exact_bias
+from .analytic import bias_report, exact_bias
 from .convolutions import (
     arrangement_identity_check,
     conv_chain,
@@ -37,6 +37,7 @@ from .forms import (
     map_from_json,
     map_to_json,
     random_multilinear,
+    top_part,
     zero_set_table,
 )
 from .partition import DEFAULT_BUDGET, RankReport, prank_exact
@@ -173,12 +174,10 @@ def cmd_boxnorm(args) -> int:
     f = _load_map(args.map)
     if f.m != 1:
         raise ValueError("box norm needs a scalar map")
-    if isinstance(f, MultilinearMap):
-        # ||chi(f)||_box^(2^k) = bias(f) for a multilinear form: no box average enumerated
-        bias = exact_bias(f)
-        nrm = float(bias) ** (1 / (1 << f.shape.k))
-    else:
-        nrm = box_norm(f.shape, chi_table(f))
+    # ||chi(f)||_box^(2^k) = bias(top part of f): every lower part cancels in the
+    # box product, so no box average is enumerated
+    bias = exact_bias(top_part(f))
+    nrm = float(bias) ** (1 / (1 << f.shape.k))
     payload = {
         "version": __version__,
         "box_norm": nrm,

@@ -409,13 +409,14 @@ def conv_approximation_check(
     No constructor for such data is provided; this checks supplied data only.
     """
     shape = Z.shape
+    shape.guard(shape.domain_size, max_points, "approximation check")
     directions = [int(d) for d in directions]
     if conv_direction_of_exceptional is None and not directions:
         raise ValueError("an exceptional direction is required when no convolution is applied")
     l = conv_direction_of_exceptional if conv_direction_of_exceptional is not None else directions[-1]
     chain = conv_chain(Z, directions).to_complex()
     approx = np.zeros(shape.sizes, dtype=np.complex128)
-    field = PrimeField(shape.p)
+    field = PrimeField(shape.p)  # p is at most the guarded domain size
     for c, rho in zip(coefficients, rhos):
         approx += complex(c) * field.char_table[scalar_table(rho, max_points)]
     coeff_mass = float(sum(abs(complex(c)) for c in coefficients))

@@ -138,6 +138,11 @@ class MultilinearMap:
     def scalar(self) -> bool:
         return self.m == 1
 
+    @property
+    def parts(self) -> dict:
+        """`MultiaffineMap.parts` of this map: one part, kept even when zero."""
+        return {frozenset(range(1, self.shape.k + 1)): self.coeffs}
+
     def is_zero(self) -> bool:
         return not self.coeffs.any()
 
@@ -239,7 +244,7 @@ Map = MultilinearMap | MultiaffineMap
 def as_multiaffine(f: Map) -> MultiaffineMap:
     if isinstance(f, MultiaffineMap):
         return f
-    return MultiaffineMap(f.shape, f.m, {frozenset(range(1, f.shape.k + 1)): f.coeffs})
+    return MultiaffineMap(f.shape, f.m, f.parts)
 
 
 def evaluate(f: Map, xs) -> np.ndarray:
@@ -250,11 +255,8 @@ def evaluate(f: Map, xs) -> np.ndarray:
 #  Full-domain value tables
 # ---------------------------------------------------------------------------
 
-def part_grid(shape: Shape, I: frozenset, C: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """Value grid of one part over G_I, broadcast-ready against the full domain.
-
-    `rows` keeps a range of x_1 codes when coordinate 1 is in I; otherwise the
-    x_1 axis has size 1 and broadcasts against any range."""
+def part_grid(shape: Shape, I: frozenset, C: np.ndarray) -> np.ndarray:
+    """Value grid of one part over G_I, broadcast-ready against the full domain."""
     p = shape.p
     Is = sorted(I)
     letters = string.ascii_lowercase
@@ -264,34 +266,30 @@ def part_grid(shape: Shape, I: frozenset, C: np.ndarray, rows: slice = slice(Non
     out_ax = in_ax.upper()
     spec = ",".join(f"{O}{a}" for O, a in zip(out_ax, in_ax))
     spec = f"{spec},{in_ax}z->{out_ax}z" if Is else "z->z"
-    mats = [digit_matrix(p, shape.dims[i - 1])[rows if i == 1 else slice(None)] for i in Is]
+    mats = [digit_matrix(p, shape.dims[i - 1]) for i in Is]
     grid = np.einsum(spec, *mats, C, optimize=True) % p
     # insert size-1 axes for coordinates outside I
     full = [1] * shape.k + [C.shape[-1]]
-    for i, D in zip(Is, mats):
-        full[i - 1] = D.shape[0]
+    for i in Is:
+        full[i - 1] = shape.sizes[i - 1]
     return grid.reshape(full)
 
 
-def value_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD, rows: slice = slice(None)) -> np.ndarray:
-    """Exact value grid, axes (codes of x_1..x_k, out).
-
-    `rows` keeps a range of x_1 codes (default: all); the guard is on the
-    whole domain."""
+def value_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
+    """Exact value grid, axes (codes of x_1..x_k, out)."""
     shape = f.shape
     shape.guard(shape.domain_size, max_points, "value table")
-    sizes = (len(range(shape.sizes[0])[rows]),) + shape.sizes[1:]
-    out = np.zeros(sizes + (f.m,), dtype=np.int64)
+    out = np.zeros(shape.sizes + (f.m,), dtype=np.int64)
     for I, C in as_multiaffine(f).parts.items():
-        out = out + part_grid(shape, I, C, rows)
+        out = out + part_grid(shape, I, C)
     return out % shape.p
 
 
-def scalar_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD, rows: slice = slice(None)) -> np.ndarray:
-    """Value grid of a scalar map, axes (codes of x_1..x_k); `rows` as in `value_table`."""
+def scalar_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
+    """Value grid of a scalar map, axes (codes of x_1..x_k)."""
     if f.m != 1:
         raise ValueError("scalar_table needs a scalar-valued map")
-    return value_table(f, max_points, rows)[..., 0]
+    return value_table(f, max_points)[..., 0]
 
 
 def zero_set_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
@@ -358,6 +356,12 @@ def slice_map(f: Map, I, x_I) -> Map:
         C = acc.get(key, np.zeros(new_shape.dims + (f.m,), dtype=np.int64))
         return MultilinearMap(new_shape, f.m, C)
     return MultiaffineMap(new_shape, f.m, acc)
+
+
+def top_part(f: Map) -> MultilinearMap:
+    """The multilinear part of f on all k coordinates (zero if f has none)."""
+    zero = np.zeros(f.shape.dims + (f.m,), dtype=np.int64)
+    return MultilinearMap(f.shape, f.m, f.parts.get(frozenset(range(1, f.shape.k + 1)), zero))
 
 
 def multilinear_parts(f: MultiaffineMap) -> dict:

@@ -1,6 +1,7 @@
 """Dense linear algebra mod p: one batched Gauss-Jordan kernel (`_eliminate`)
-behind rank, solvability and left nullspaces of stacks, and behind the
-reduced row echelon form, solving, nullspaces and CR factors of one matrix."""
+behind rank, reduction, solvability and left nullspaces of stacks, and
+behind the reduced row echelon form, solving, nullspaces and CR factors of
+one matrix."""
 
 from __future__ import annotations
 
@@ -98,19 +99,31 @@ def _as_stack(stack) -> np.ndarray:
     return A
 
 
-def rank_many(stack, p: int) -> np.ndarray:
-    """Ranks mod p of every matrix in a (B, r, c) stack, as an int64 array of length B.
+def reduce_many(stack, p: int, ncols: int):
+    """Gauss-Jordan elimination mod p of the first `ncols` columns of every
+    matrix in a (B, r, c) stack (`_eliminate`), rows in place and unscaled.
 
-    Gaussian elimination on the whole batch at once (`_eliminate`), one numpy
-    pass per column of the shorter side.
+    Returns (pivot, carried): the (B, r) bool array of rows that took a
+    pivot, and the other c - ncols columns after the row operations, int64
+    in [0, p).  A row without a pivot ends zero in the first `ncols`
+    columns.  The pivot is the lowest-index candidate row, so the last row
+    pivots only when it leaves the span of the rows above it.
     """
     A = _as_stack(stack)
-    if A.shape[2] > A.shape[1]:
-        # one pass per column, so eliminate along the shorter side
-        A = A.transpose(0, 2, 1)
-    work = np.empty(A.shape, dtype=_work_dtype(A.shape[2], p))
+    work = np.empty(A.shape, dtype=_work_dtype(min(A.shape[1], ncols), p))
     np.remainder(A, p, out=work, casting="unsafe")
-    return np.count_nonzero(_eliminate(work, p, A.shape[2]), axis=1).astype(np.int64, copy=False)
+    pivot = _eliminate(work, p, ncols) != 0
+    return pivot, np.remainder(work[:, :, ncols:], p, dtype=np.int64)
+
+
+def rank_many(stack, p: int) -> np.ndarray:
+    """Ranks mod p of every matrix in a (B, r, c) stack, as an int64 array of
+    length B: its pivot rows (`reduce_many`) along the shorter side, one
+    numpy pass per column."""
+    A = _as_stack(stack)
+    if A.shape[2] > A.shape[1]:
+        A = A.transpose(0, 2, 1)
+    return reduce_many(A, p, A.shape[2])[0].sum(axis=1)
 
 
 def solvable_many(stack, b, p: int) -> np.ndarray:

@@ -247,13 +247,13 @@ def cs_amplification_check(f: PolyDense, max_points: int = DEFAULT_ENUM_GUARD) -
     if d >= f.p:
         raise ValueError(f"degree {d} is not below the characteristic {f.p}")
     p, n = f.p, f.n
+    diffs = difference_table(f, d, max_points)  # guards p^(nd) >= p^n >= p before the tables below
     field = PrimeField(p)
 
     fvals = f.evaluate_many(digit_matrix(p, n))
     bias_f = complex(field.char_table[fvals].mean())
     c_pow = abs(bias_f) ** (1 << (d - 1))
 
-    diffs = difference_table(f, d, max_points)
     counts = np.bincount(diffs, minlength=p).astype(np.float64)
     mid = complex((counts * field.char_table).sum() / diffs.size)
     if abs(mid.imag) > CHI_TOL:

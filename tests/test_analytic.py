@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -66,6 +67,12 @@ def test_histogram_matches_oracle_random():
 def test_histogram_guard():
     with pytest.raises(DomainSizeError):
         value_histogram(form(2, (10, 10), np.zeros(100)), max_points=1 << 10)
+
+
+def test_chi_table_guard_before_character_table():
+    # the domain guard bounds p too, before the O(p) character table is built
+    with pytest.raises(DomainSizeError):
+        chi_table(form(2 ** 61 - 1, (1,), [1]))
 
 
 def test_histogram_restriction():
@@ -247,27 +254,8 @@ def test_gcs_missing_table_rejected():
         gcs_check(sh, {frozenset(): np.ones(sh.sizes, dtype=np.complex128)})
 
 
-def test_worker_count_env(monkeypatch):
-    from rankforge import analytic
-
-    monkeypatch.setenv("RANKFORGE_THREADS", "3")
-    assert analytic.worker_count() == 3
-    monkeypatch.delenv("RANKFORGE_THREADS")
-    assert analytic.worker_count() >= 1
-
-
-def test_parallel_histogram_matches_serial(monkeypatch):
-    # the blocked path must agree with the plain path bit for bit
-    f = random_multilinear(Shape(2, (10, 9)), 1, [71, 0])
-    from rankforge import analytic
-
-    monkeypatch.setattr(analytic, "_PARALLEL_MIN", 1)
-    monkeypatch.setenv("RANKFORGE_THREADS", "4")
-    h_par = value_histogram(f)
-    monkeypatch.setenv("RANKFORGE_THREADS", "1")
-    h_ser = value_histogram(f)
-    assert h_par == h_ser
-    # 9 x_1 codes on 4 threads give uneven blocks; with and without a restriction
+def test_histogram_matches_pointwise_oracle():
+    # uneven coordinate sizes, with and without a restriction
     g = random_multiaffine(Shape(3, (2, 5)), 1, [71, 1])
     member = np.random.default_rng(71).integers(0, 2, size=g.shape.sizes).astype(bool)
     for restriction in (None, member):
@@ -275,11 +263,7 @@ def test_parallel_histogram_matches_serial(monkeypatch):
         oracle = [0] * 3
         for xs, kept in zip(domain_points(g.shape), keep):
             oracle[int(g.evaluate(xs)[0])] += int(kept)
-        monkeypatch.setenv("RANKFORGE_THREADS", "4")
-        h_par = value_histogram(g, restriction)
-        monkeypatch.setenv("RANKFORGE_THREADS", "1")
-        h_ser = value_histogram(g, restriction)
-        assert h_par == h_ser and h_par.counts == tuple(oracle)
+        assert value_histogram(g, restriction).counts == tuple(oracle)
 
 
 def test_box_norm_identity_k4():
@@ -292,26 +276,30 @@ def test_box_norm_identity_k4():
 #  The rank-counting route of bias_report against the enumerative oracle
 # ---------------------------------------------------------------------------
 
-def enumerated_report(f):
-    """The value histogram by enumeration, and the curried map's zero count by
-    enumerating its value table."""
-    hist = value_histogram(f)
+def curried_zero_count(f):
+    """The zero count of a multilinear form's curried map, by enumerating its value table."""
     if f.shape.k == 1:
-        return hist, 0 if f.coeffs.any() else 1
-    return hist, int((~value_table(curry_last(f)).any(axis=-1)).sum())
+        return 0 if f.coeffs.any() else 1
+    return int((~value_table(curry_last(f)).any(axis=-1)).sum())
 
 
 @st.composite
-def oracle_sized_forms(draw):
-    """Multilinear forms of at most 2^12 points: uniform, zero, or a sum of one or
-    two pure tensors (every matrix slice then has rank <= 1 or <= 2)."""
+def oracle_shapes(draw):
+    """(p, dims) of a domain of at most 2^12 points, k = 1..4."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     budget = {2: 12, 3: 7, 5: 5, 7: 4}[p]  # largest N with p^N <= 2^12
     k = draw(st.integers(1, 4))
     dims = []
     for i in range(k):
         dims.append(draw(st.integers(1, min(3, budget - sum(dims) - (k - 1 - i)))))
-    dims = tuple(dims)
+    return p, tuple(dims)
+
+
+@st.composite
+def oracle_sized_forms(draw):
+    """Multilinear forms of at most 2^12 points: uniform, zero, or a sum of one or
+    two pure tensors (every matrix slice then has rank <= 1 or <= 2)."""
+    p, dims = draw(oracle_shapes())
     kind = draw(st.sampled_from(["uniform", "zero", "pure1", "pure2"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "uniform":
@@ -326,19 +314,43 @@ def oracle_sized_forms(draw):
     return MultilinearMap(Shape(p, dims), 1, coeffs.reshape(dims + (1,)))
 
 
-@settings(max_examples=250, deadline=None)
-@given(oracle_sized_forms())
+@st.composite
+def oracle_sized_maps(draw):
+    """Multiaffine maps of at most 2^12 points with uniform parts, with a zero
+    top part, or with sparse parts (then many slices are consistent and keep
+    a nonzero t0)."""
+    p, dims = draw(oracle_shapes())
+    kind = draw(st.sampled_from(["uniform", "zero-top", "sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = {}
+    for size in range(len(dims) + 1 - (kind == "zero-top")):
+        for I in combinations(range(1, len(dims) + 1), size):
+            C = rng.integers(0, p, size=tuple(dims[i - 1] for i in I) + (1,))
+            parts[frozenset(I)] = C * (rng.random(C.shape) < 0.25) if kind == "sparse" else C
+    return MultiaffineMap(Shape(p, dims), 1, parts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(oracle_sized_forms(), oracle_sized_maps()))
 @example(form(2, (1, 1, 1, 1), [1]))
 @example(form(7, (1, 1, 1, 1), [0]))
 @example(form(3, (2, 3, 1), np.zeros(6)))
 @example(form(5, (2,), [0, 3]))
+@example(MultiaffineMap(Shape(5, (2,)), 1, {frozenset(): [3]}))
+@example(MultiaffineMap(Shape(3, (1, 1)), 1, {frozenset(): [1], frozenset({1, 2}): [[[1]]]}))
+@example(MultiaffineMap(Shape(2, (2, 2)), 1, {frozenset({1}): [[1], [0]], frozenset({2}): [[1], [1]]}))
 def test_rank_route_matches_enumeration(f):
     rep = bias_report(f)
-    hist, vanish = enumerated_report(f)
+    hist = value_histogram(f)
     assert rep.histogram == hist
+    assert rep.bias == hist.chi_average()
+    if isinstance(f, MultiaffineMap):
+        assert rep.bias_exact is rep.arank is rep.vanishing_count is None
+        return
+    vanish = curried_zero_count(f)
     assert rep.vanishing_count == vanish
     assert rep.bias_exact == hist.exact_bias()
-    assert rep.bias == hist.chi_average()
+    assert rep.arank == (math.inf if vanish == 0 else pytest.approx(-math.log(rep.bias_exact, f.shape.p)))
 
 
 def test_rank_route_past_the_enumeration_guard():

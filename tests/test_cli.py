@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from rankforge.analytic import box_norm, chi_table, exact_bias
 from rankforge.cli import main
-from rankforge.forms import MultiaffineMap, MultilinearMap, Shape, map_to_json, random_multilinear
+from rankforge.forms import (
+    MultiaffineMap,
+    MultilinearMap,
+    Shape,
+    map_to_json,
+    random_multiaffine,
+    random_multilinear,
+)
 
 
 def write_map(tmp_path, f, name="m.json"):
@@ -84,6 +91,18 @@ def test_boxnorm_multilinear_matches_enumerated_box_average(tmp_path, capsys, p,
         assert json.loads(out)["box_norm"] == pytest.approx(box_norm(f.shape, chi_table(f)), abs=1e-12)
 
 
+@pytest.mark.parametrize("p,dims", [(2, (2, 2)), (3, (1, 2)), (2, (1, 1, 2)), (5, (1, 1)), (2, (1, 1, 1, 1))])
+def test_boxnorm_multiaffine_matches_enumerated_box_average(tmp_path, capsys, p, dims):
+    # every part below the top one cancels in the box product
+    for seed in range(3):
+        f = random_multiaffine(Shape(p, dims), 1, [67, seed])
+        code, out = run(capsys, ["boxnorm", "--map", write_map(tmp_path, f)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["box_norm"] == pytest.approx(box_norm(f.shape, chi_table(f)), abs=1e-12)
+        assert "bias_exact" not in payload
+
+
 def test_variety_density_and_connect(tmp_path, capsys):
     sh = Shape(2, (2, 2))
     f = MultilinearMap(sh, 1, np.eye(2, dtype=np.int64).reshape(2, 2, 1))
@@ -151,11 +170,28 @@ def test_malformed_input_exit_2(tmp_path, capsys):
 
 
 def test_resource_guard_exit_3(tmp_path, capsys):
-    # a multiaffine map is enumerated: 2^24 points exceed the default guard
+    # variety density enumerates the domain: 2^24 points exceed the default guard
     sh = Shape(2, (12, 12))
     f = MultiaffineMap(sh, 1, {frozenset(): np.ones(1, dtype=np.int64)})
-    code = main(["arank", "--map", write_map(tmp_path, f)])
-    assert code == 3
+    assert main(["variety", "density", "--map", write_map(tmp_path, f)]) == 3
+    # arank's slice stack: 2^20 slices of 20 x 20 exceed it too
+    g = MultiaffineMap(Shape(2, (20, 20, 20)), 1, {frozenset(): np.ones(1, dtype=np.int64)})
+    assert main(["arank", "--map", write_map(tmp_path, g)]) == 3
+    assert "slice stack" in capsys.readouterr().err
+
+
+def test_multiaffine_arank_past_enumeration_guard(tmp_path, capsys):
+    # x . y + 1 on (2,(12,12)) is one slice [[I, 0], [0, 1]]: rank 12 and t0 = 1,
+    # so every value occurs (2^12 - 1) 2^11 times and 1 occurs 2^12 more
+    sh = Shape(2, (12, 12))
+    f = MultiaffineMap(sh, 1, {frozenset(): np.ones(1, dtype=np.int64),
+                               frozenset({1, 2}): np.eye(12, dtype=np.int64).reshape(12, 12, 1)})
+    code, out = run(capsys, ["arank", "--map", write_map(tmp_path, f)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["total"] == 2 ** 24
+    assert payload["histogram"] == [4095 * 2 ** 11, 4095 * 2 ** 11 + 2 ** 12]
+    assert "bias_exact" not in payload and "arank" not in payload
 
 
 def test_multilinear_arank_past_enumeration_guard(tmp_path, capsys):

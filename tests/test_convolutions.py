@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import pytest
 
 from rankforge.convolutions import (
     Arrangement,
@@ -20,7 +21,9 @@ from rankforge.convolutions import (
     vanishing_propagation_check,
     zero_set_indicator,
 )
+from rankforge.errors import DomainSizeError
 from rankforge.forms import (
+    MultiaffineMap,
     MultilinearMap,
     Shape,
     addition_table,
@@ -271,3 +274,21 @@ def test_conv_approximation_validator():
     # a wrong coefficient is flagged
     rep = conv_approximation_check(Z, [1], [0.5], [zero_form], layers, 1e-6)
     assert not rep.ok
+
+
+def test_conv_approximation_guard_before_tables(monkeypatch):
+    # numpy cannot hold a table on F_p with p = 2^61 - 1, not even a zero-stride
+    # view, so the order is checked on a small domain: the domain guard refuses
+    # before the O(p) character table is built
+    from rankforge import convolutions
+
+    def no_field(p):
+        raise AssertionError("character table built before the domain guard")
+
+    monkeypatch.setattr(convolutions, "PrimeField", no_field)
+    sh = Shape(2, (1, 1))
+    Z = indicator_table(sh, np.ones(sh.sizes, dtype=bool))
+    gamma = MultiaffineMap(Shape(2, (1,)), 1, {frozenset([1]): np.array([[1]])})
+    with pytest.raises(DomainSizeError):
+        conv_approximation_check(Z, [1], [1.0], [form(2, (1, 1), [0])], LayerFamily(gamma, ()), 1e-6,
+                                 max_points=2)

@@ -22,6 +22,7 @@ from rankforge.forms import (
     rebuild,
     scalar_table,
     slice_map,
+    top_part,
     value_table,
 )
 
@@ -92,20 +93,17 @@ def test_value_table_matches_pointwise_evaluation():
         assert table[codes + (0,)] == f.evaluate(xs)[0]
 
 
-@pytest.mark.parametrize("f", [
-    pytest.param(random_multiaffine(Shape(3, (2, 1, 1)), 2, [61, 0]), id="every-part"),
-    pytest.param(MultiaffineMap(Shape(3, (2, 1)), 2, {frozenset(): [1, 2], frozenset({2}): [[2, 1]]}),
-                 id="no-part-on-x1"),
-    pytest.param(random_multilinear(Shape(2, (3, 2)), 3, [61, 1]), id="multilinear"),
-])
-def test_value_table_row_blocks_concatenate(f):
-    full = value_table(f)
-    lead = f.shape.sizes[0]
-    cuts = [0, 1, lead // 2, lead // 2, lead]  # uneven blocks, one of them empty
-    blocks = [value_table(f, rows=slice(a, b)) for a, b in zip(cuts, cuts[1:])]
-    assert blocks[2].shape == (0,) + full.shape[1:]
-    joined = np.concatenate(blocks)
-    assert joined.dtype == full.dtype and np.array_equal(joined, full)
+def test_top_part():
+    f = random_multiaffine(Shape(3, (2, 1, 2)), 1, [61, 0])
+    top = top_part(f)
+    assert isinstance(top, MultilinearMap)
+    assert np.array_equal(top.coeffs, f.parts[frozenset({1, 2, 3})])
+    lower = MultiaffineMap(f.shape, 1, {I: C for I, C in f.parts.items() if len(I) < 3})
+    assert top_part(lower).is_zero()
+    g = random_multilinear(Shape(2, (2, 3)), 2, [61, 1])
+    assert top_part(g) == g
+    assert list(g.parts) == list(as_multiaffine(g).parts) == [frozenset({1, 2})]
+    assert g.parts[frozenset({1, 2})] is g.coeffs
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,3 +23,19 @@ def test_no_private_helper_imported_across_modules():
                 found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
                           if a.name.startswith("_") and not a.name.startswith("__")]
     assert not found, f"private helpers imported across modules at {found}"
+
+
+def test_no_concurrency_in_library():
+    # every computation runs on the calling thread; no module starts threads or processes
+    banned = {"threading", "concurrent", "multiprocessing"}
+    found = []
+    for path in sorted(Path(rankforge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in banned]
+    assert not found, f"concurrency imported at {found}"

@@ -165,3 +165,25 @@ def test_left_nullspace_many_is_a_basis(p, rows, cols, seed):
         assert not (B @ A % p).any()
         if len(B):
             assert _rank_oracle(B, p) == len(B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 181, 257]), st.integers(1, 6), st.integers(0, 5), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_reduce_many_pivots_and_carried_columns(p, rows, ncols, extra, seed):
+    rng = np.random.default_rng(seed)
+    cap = int(rng.integers(0, min(rows, ncols) + 1))
+    left = rng.integers(0, p, (8, rows, cap)) @ rng.integers(0, p, (8, cap, ncols)) % p
+    stack = np.concatenate([left, rng.integers(0, p, (8, rows, extra))], axis=2)
+    pivot, carried = linalg.reduce_many(stack, p, ncols)
+    assert pivot.dtype == bool and pivot.shape == (8, rows)
+    assert carried.dtype == np.int64 and carried.shape == (8, rows, extra)
+    assert 0 <= carried.min() and carried.max() < p
+    for A, piv, C in zip(stack, pivot, carried):
+        r = _rank_oracle(A[:, :ncols], p)
+        assert piv.sum() == r
+        # the last row pivots exactly when it leaves the row span of the rows above it
+        assert piv[-1] == (r > _rank_oracle(A[:-1, :ncols], p))
+        # rows without a pivot are zero on the first ncols columns and stay in A's row span
+        rest = np.hstack([np.zeros((rows, ncols), dtype=np.int64), C])[~piv]
+        assert _rank_oracle(np.vstack([A, rest]), p) == _rank_oracle(A, p) == r + _rank_oracle(rest, p)

@@ -294,3 +294,10 @@ def test_substitute_zero():
     rep = prank_exact(sym.form)
     sub = substitute_decomposition(rep.witness)
     assert sub.factors == ()
+
+
+def test_cs_check_guard_before_character_table():
+    # the difference table's guard refuses p^(nd) points before any O(p) table is built
+    f = PolyDense(2 ** 61 - 1, 1, {(2,): 1})
+    with pytest.raises(DomainSizeError):
+        cs_amplification_check(f)
