@@ -117,14 +117,20 @@ def bias_report(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> BiasReport:
     hist = _slice_histogram(f, max_points)
     if not isinstance(f, MultilinearMap):
         return BiasReport(hist, hist.chi_average(), None, None, None)
+    exact, vanish = _exact_counts(f, hist)
     p = f.shape.p
+    # a nonzero linear form has bias 0: its character sum cancels exactly
+    ar = math.inf if exact == 0 else plain_log(p, exact.denominator) - plain_log(p, exact.numerator)
+    return BiasReport(hist, hist.chi_average(), exact, ar, vanish)
+
+
+def _exact_counts(f: MultilinearMap, hist: ValueHistogram) -> tuple[Fraction, int]:
+    """The exact bias of a multilinear form and the zero count of its curried map."""
     exact = hist.exact_bias()
     vanish = exact * (hist.total // f.shape.sizes[-1])
     if vanish.denominator != 1:
         raise LemmaViolationError(f"bias {exact} is not a zero density of the curried map")
-    # a nonzero linear form has bias 0: its character sum cancels exactly
-    ar = math.inf if exact == 0 else plain_log(p, exact.denominator) - plain_log(p, exact.numerator)
-    return BiasReport(hist, hist.chi_average(), exact, ar, int(vanish))
+    return exact, int(vanish)
 
 
 def _slice_stack(f: Map, max_points: int) -> np.ndarray:
@@ -200,10 +206,11 @@ def arank(f: MultilinearMap, max_points: int = DEFAULT_ENUM_GUARD) -> float:
 
 
 def exact_bias(f: MultilinearMap, max_points: int = DEFAULT_ENUM_GUARD) -> Fraction:
-    rep = bias_report(f, max_points)
-    if rep.bias_exact is None:
+    """`bias_report(f).bias_exact`, without the character table of F_p."""
+    hist = _slice_histogram(f, max_points)
+    if not isinstance(f, MultilinearMap):
         raise ValueError("exact bias is defined for multilinear forms only")
-    return rep.bias_exact
+    return _exact_counts(f, hist)[0]
 
 
 def ceil_neg_log(p: int, value: Fraction) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analytic import CHI_TOL, exact_bias
+from .analytic import CHI_TOL, ValueHistogram, exact_bias
 from .errors import DomainSizeError, LemmaViolationError
 from .field import PrimeField, is_prime
 from .forms import (
@@ -254,8 +254,8 @@ def cs_amplification_check(f: PolyDense, max_points: int = DEFAULT_ENUM_GUARD) -
     bias_f = complex(field.char_table[fvals].mean())
     c_pow = abs(bias_f) ** (1 << (d - 1))
 
-    counts = np.bincount(diffs, minlength=p).astype(np.float64)
-    mid = complex((counts * field.char_table).sum() / diffs.size)
+    counts = np.bincount(diffs, minlength=p)
+    mid = ValueHistogram(p, tuple(counts.tolist()), diffs.size).chi_average(field)
     if abs(mid.imag) > CHI_TOL:
         raise LemmaViolationError(f"signed-sum average {mid} is not real")
     mid_real = mid.real

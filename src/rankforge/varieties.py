@@ -7,7 +7,8 @@ zero set of a multilinear map.
 The coordinate-change graph on G_[k] joins two points iff they differ in
 exactly one coordinate.  BFS over it is run implicitly on boolean grids: one
 expansion step is an OR-reduction along each coordinate axis, so a level
-costs O(k |G|) vectorized work regardless of vertex degrees.
+costs O(k |G|) vectorized work regardless of vertex degrees.  Exact diameters
+run the same step on uint64 grids that carry one bit per source vertex.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .forms import (
 )
 
 TRAVERSAL_GUARD = 1 << 21
-EXACT_DIAMETER_SET_CAP = 4096
-EXACT_DIAMETER_WORK_CAP = 30_000_000
+EXACT_DIAMETER_WORK_CAP = 30_000_000   # uint64 word operations per BFS level
+BFS_STATE_WORDS = 1 << 21              # words in one bit-parallel state array (16 MB)
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +293,21 @@ class ConnectivityReport:
     diameter_bound: int | None = None
 
 
-def _expand_once(frontier: np.ndarray, member: np.ndarray, visited: np.ndarray) -> np.ndarray:
-    grown = np.zeros_like(member)
-    for ax in range(member.ndim):
-        grown |= frontier.any(axis=ax, keepdims=True)
-    return grown & member & ~visited
+def _bfs_levels(unseen: np.ndarray, frontier: np.ndarray, k: int):
+    """The frontiers of a BFS over the first k axes, level 0 first.
 
-
-def _bfs(member: np.ndarray, start_idx: tuple) -> tuple[np.ndarray, int]:
-    """Visited mask and eccentricity of the start vertex within its component."""
-    visited = np.zeros_like(member)
-    visited[start_idx] = True
-    frontier = visited.copy()
-    ecc = 0
-    while True:
-        nxt = _expand_once(frontier, member, visited)
-        if not nxt.any():
-            return visited, ecc
-        visited |= nxt
-        frontier = nxt
-        ecc += 1
+    Boolean grids carry one source; uint64 grids with a trailing word axis
+    carry one source per bit.  `unseen` holds the members not reached yet
+    (sources excluded) and is consumed in place.
+    """
+    while frontier.any():
+        yield frontier
+        grown = np.zeros_like(unseen)
+        for ax in range(k):
+            grown |= np.bitwise_or.reduce(frontier, axis=ax, keepdims=True)
+        grown &= unseen
+        unseen ^= grown
+        frontier = grown
 
 
 def _first_true(mask: np.ndarray) -> tuple:
@@ -321,19 +317,37 @@ def _first_true(mask: np.ndarray) -> tuple:
 
 def _bfs_distances(member: np.ndarray, start_idx: tuple) -> np.ndarray:
     dist = np.full(member.shape, -1, dtype=np.int32)
-    dist[start_idx] = 0
     frontier = np.zeros_like(member)
     frontier[start_idx] = True
-    visited = frontier.copy()
-    level = 0
-    while True:
-        nxt = _expand_once(frontier, member, visited)
-        if not nxt.any():
-            return dist
-        level += 1
-        dist[nxt] = level
-        visited |= nxt
-        frontier = nxt
+    for level, f in enumerate(_bfs_levels(member & ~frontier, frontier, member.ndim)):
+        dist[f] = level
+    return dist
+
+
+def _exact_diameter_affordable(size: int, points: int, k: int) -> bool:
+    """Whether one level of the bit-parallel BFS from `size` sources over a
+    `points`-cell grid with k axes stays within EXACT_DIAMETER_WORK_CAP."""
+    return -(-size // 64) * points * k <= EXACT_DIAMETER_WORK_CAP
+
+
+def _bit_diameter(member: np.ndarray) -> int:
+    """Largest eccentricity of a connected set by multi-source BFS: the
+    members are the sources, 64 W at a time, one bit each in W uint64 words
+    per cell.  A chunk runs as many levels as its largest eccentricity."""
+    cells = np.flatnonzero(member)
+    words = -(-cells.size // 64)
+    chunks = -(-words // max(1, BFS_STATE_WORDS // member.size))
+    W = -(-words // chunks)
+    full = np.where(member, ~np.uint64(0), np.uint64(0))[..., None]
+    diam = 0
+    for start in range(0, cells.size, 64 * W):
+        src = np.arange(min(64 * W, cells.size - start))
+        frontier = np.zeros((member.size, W), dtype=np.uint64)
+        frontier[cells[start:start + src.size], src // 64] = np.uint64(1) << (src % 64).astype(np.uint64)
+        frontier = frontier.reshape(member.shape + (W,))
+        levels = sum(1 for _ in _bfs_levels(full ^ frontier, frontier, member.ndim))
+        diam = max(diam, levels - 1)
+    return diam
 
 
 def connectivity(
@@ -344,11 +358,11 @@ def connectivity(
 ) -> ConnectivityReport:
     """Connected components and diameter of a subset of G_[k].
 
-    The diameter is exact for small sets (all-pairs BFS when |S| <= 4096 and
-    the total work stays desk-scale); otherwise the report carries the
-    certified upper bound 2 * min eccentricity over double-sweep samples,
-    flagged via diameter_exact=False, together with the eccentricity lower
-    bound.
+    The diameter is exact when one level of the bit-parallel BFS from every
+    vertex, ceil(|S|/64) * |G| * k word operations, stays within
+    EXACT_DIAMETER_WORK_CAP; otherwise the report carries the certified upper
+    bound 2 * min eccentricity over double-sweep samples, flagged via
+    diameter_exact=False, together with the eccentricity lower bound.
     """
     shape.guard(shape.domain_size, max_points, "graph traversal")
     if member.dtype != bool or member.shape != shape.sizes:
@@ -359,24 +373,19 @@ def connectivity(
 
     remaining = member.copy()
     components = 0
-    first_component = None
     while remaining.any():
-        seed = _first_true(remaining)
-        visited, _ = _bfs(member, seed)
-        if components == 0:
-            first_component = visited
+        frontier = np.zeros_like(member)
+        frontier[_first_true(remaining)] = True
+        remaining ^= frontier
+        for _ in _bfs_levels(remaining, frontier, shape.k):  # removes the component
+            pass
         components += 1
-        remaining &= ~visited
     connected = components == 1
     if not connected:
         return ConnectivityReport(False, components, size, None, True, None)
 
-    work = size * shape.domain_size * shape.k
-    if size <= EXACT_DIAMETER_SET_CAP and work <= EXACT_DIAMETER_WORK_CAP:
-        diam = 0
-        for idx in map(tuple, np.argwhere(member)):
-            d = _bfs_distances(member, idx)
-            diam = max(diam, int(d.max()))
+    if _exact_diameter_affordable(size, shape.domain_size, shape.k):
+        diam = _bit_diameter(member)
         return ConnectivityReport(True, 1, size, diam, True, diam)
 
     # double sweep plus extra eccentricity samples

@@ -301,3 +301,12 @@ def test_cs_check_guard_before_character_table():
     f = PolyDense(2 ** 61 - 1, 1, {(2,): 1})
     with pytest.raises(DomainSizeError):
         cs_amplification_check(f)
+
+
+def test_cs_check_builds_one_character_table(monkeypatch):
+    # the field is built once per check and shared; the exact bias needs none
+    built = []
+    init = PrimeField.__post_init__
+    monkeypatch.setattr(PrimeField, "__post_init__", lambda self: (built.append(self.p), init(self)))
+    rep = cs_amplification_check(random_homogeneous(5, 2, 3, 7))
+    assert rep.ok and built == [5]

@@ -3,7 +3,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rankforge.varieties as V
 from rankforge.forms import (
     MultiaffineMap,
     MultilinearMap,
@@ -14,6 +17,7 @@ from rankforge.forms import (
     random_multilinear,
     stack_maps,
     value_table,
+    zero_set_table,
 )
 from rankforge.varieties import (
     LayerFamily,
@@ -249,21 +253,99 @@ def test_connectivity_matches_union_find_oracle():
 
 
 def test_connectivity_certified_bound_on_large_set():
-    # force the sampled-eccentricity path by shrinking the exact-set cap
-    import rankforge.varieties as V
-
+    # force the sampled-eccentricity path by shrinking the word-operation cap
     sh = Shape(2, (3, 3))
     member = np.ones(sh.sizes, dtype=bool)
     member[0, 0] = False
-    old = V.EXACT_DIAMETER_SET_CAP
+    old = V.EXACT_DIAMETER_WORK_CAP
     try:
-        V.EXACT_DIAMETER_SET_CAP = 4
+        V.EXACT_DIAMETER_WORK_CAP = 4
         rep = connectivity(sh, member)
         assert rep.is_connected and not rep.diameter_exact
         true_diam = bfs_diameter_oracle(sh, member)
         assert rep.diameter_lower <= true_diam <= rep.diameter
     finally:
-        V.EXACT_DIAMETER_SET_CAP = old
+        V.EXACT_DIAMETER_WORK_CAP = old
+
+
+def _per_vertex_diameter_oracle(member):
+    """The diameter as one single-source BFS per vertex, max of the maxima."""
+    return max(int(V._bfs_distances(member, tuple(idx)).max()) for idx in np.argwhere(member))
+
+
+def _random_connected_set(shape, size, rng):
+    """Grown one coordinate-change neighbour at a time from a random point."""
+    member = np.zeros(shape.sizes, dtype=bool)
+    member[tuple(int(rng.integers(n)) for n in shape.sizes)] = True
+    while member.sum() < size:
+        pts = np.argwhere(member)
+        pt = list(pts[rng.integers(len(pts))])
+        ax = int(rng.integers(shape.k))
+        pt[ax] = int(rng.integers(shape.sizes[ax]))
+        member[tuple(pt)] = True
+    return member
+
+
+# p in {2, 3}, k in {1, 2, 3}, each with at least 129 points
+BIT_BFS_SHAPES = [Shape(2, (8,)), Shape(2, (4, 4)), Shape(2, (3, 3, 3)),
+                  Shape(3, (5,)), Shape(3, (3, 2)), Shape(3, (2, 2, 2))]
+
+
+@pytest.mark.parametrize("one_word_chunks", [False, True])
+def test_bit_diameter_matches_per_vertex_oracles(monkeypatch, one_word_chunks):
+    # set sizes on both sides of the 64-source word boundaries
+    for i, sh in enumerate(BIT_BFS_SHAPES):
+        if one_word_chunks:  # W = 1: up to three chunks of 64 sources
+            monkeypatch.setattr(V, "BFS_STATE_WORDS", sh.domain_size)
+        for size in (63, 64, 65, 129):
+            member = _random_connected_set(sh, size, np.random.default_rng([61, i, size]))
+            rep = connectivity(sh, member)
+            assert rep.is_connected and rep.diameter_exact and rep.set_size == size
+            assert rep.diameter == rep.diameter_lower == _per_vertex_diameter_oracle(member)
+            assert rep.diameter == bfs_diameter_oracle(sh, member)
+
+
+def test_bit_diameter_reads_every_chunk(monkeypatch):
+    # on (2,(5,5)) a 3 x 22 block (66 points, first in flat order) hangs off the
+    # middle of an 18-point staircase; only the staircase ends are 17 apart,
+    # and with one word per chunk they are sources of the second chunk
+    sh = Shape(2, (5, 5))
+    member = np.zeros(sh.sizes, dtype=bool)
+    member[:3, :22] = True
+    for i in range(9):
+        member[3 + i, 22 + i] = member[3 + i, 23 + i] = True
+    member[7, 21] = True
+    assert _per_vertex_diameter_oracle(member) == 17
+    monkeypatch.setattr(V, "BFS_STATE_WORDS", sh.domain_size)
+    rep = connectivity(sh, member)
+    assert rep.diameter_exact and rep.diameter == 17 == bfs_diameter_oracle(sh, member)
+
+
+def test_diameter_exact_on_7x7_and_bounded_on_8x8(monkeypatch):
+    sh = Shape(2, (7, 7))
+    member = zero_set_table(random_multilinear(sh, 1, [67, 7]))
+    rep = connectivity(sh, member)
+    assert rep.set_size > 4096  # past the old per-vertex cap
+    assert rep.is_connected and rep.diameter_exact and rep.diameter == rep.diameter_lower
+    monkeypatch.setattr(V, "EXACT_DIAMETER_WORK_CAP", 0)
+    sweep = connectivity(sh, member)
+    assert not sweep.diameter_exact
+    assert sweep.diameter_lower <= rep.diameter <= sweep.diameter
+    monkeypatch.undo()
+
+    sh = Shape(2, (8, 8))
+    rep = connectivity(sh, zero_set_table(random_multilinear(sh, 1, [67, 8])))
+    assert rep.is_connected and not rep.diameter_exact
+    assert rep.diameter_lower <= rep.diameter
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4096), st.integers(1, 8), st.data())
+def test_word_cap_admits_every_set_the_vertex_cap_did(size, k, data):
+    # the old rule: size <= 4096 and size * points * k <= 3 * 10^7
+    largest = 30_000_000 // (size * k)
+    assert V._exact_diameter_affordable(size, largest, k)
+    assert V._exact_diameter_affordable(size, data.draw(st.integers(1, largest)), k)
 
 
 # ---------------------------------------------------------------------------
