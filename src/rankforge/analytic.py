@@ -19,7 +19,6 @@ from . import linalg
 from .errors import LemmaViolationError
 from .field import PrimeField
 from .forms import (
-    DEFAULT_ENUM_GUARD,
     Map,
     MultiaffineMap,
     MultilinearMap,
@@ -75,21 +74,17 @@ class ValueHistogram:
         return Fraction(self.counts[0] - other, self.total)
 
 
-def value_histogram(
-    f: Map,
-    restriction: np.ndarray | None = None,
-    max_points: int = DEFAULT_ENUM_GUARD,
-) -> ValueHistogram:
+def value_histogram(f: Map, restriction: np.ndarray | None = None) -> ValueHistogram:
     """Exact histogram of a scalar map by full enumeration, the oracle of
     `bias_report`'s slice counts.  `restriction` is an optional boolean
     membership grid; only points inside it are counted."""
     if f.m != 1:
         raise ValueError("value_histogram needs a scalar-valued map")
     shape = f.shape
-    shape.guard(shape.domain_size, max_points, "histogram enumeration")
+    Shape.guard(shape.domain_size, "histogram enumeration")
     if restriction is not None and restriction.shape != shape.sizes:
         raise ValueError("restriction grid does not match the domain")
-    vals = scalar_table(f, max_points)
+    vals = scalar_table(f)
     if restriction is not None:
         vals = vals[restriction]
     counts = np.bincount(vals.reshape(-1), minlength=shape.p)
@@ -106,7 +101,7 @@ class BiasReport:
     vanishing_count: int | None  # |{A = 0}| for the curried map, multilinear input only
 
 
-def bias_report(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> BiasReport:
+def bias_report(f: Map) -> BiasReport:
     """Bias of a scalar map from its exact value histogram (`_slice_histogram`).
 
     A multilinear form f(x) = <A(x_[k-1]), x_k> also gets its exact bias,
@@ -114,7 +109,7 @@ def bias_report(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> BiasReport:
     0 on all of G_k where A vanishes and on p^(n_k - 1) points elsewhere, so
     N_0 - N_1 = V p^n_k and the bias is V / P.
     """
-    hist = _slice_histogram(f, max_points)
+    hist = _slice_histogram(f)
     if not isinstance(f, MultilinearMap):
         return BiasReport(hist, hist.chi_average(), None, None, None)
     exact, vanish = _exact_counts(f, hist)
@@ -133,7 +128,7 @@ def _exact_counts(f: MultilinearMap, hist: ValueHistogram) -> tuple[Fraction, in
     return exact, int(vanish)
 
 
-def _slice_stack(f: Map, max_points: int) -> np.ndarray:
+def _slice_stack(f: Map) -> np.ndarray:
     """The (p^S, n_a + 1, n_b + 1) stack of slices [[M, u], [v^T, c]], one per
     point of the coordinates other than the two largest, a (n_a rows) and b
     (n_b <= n_a columns; n_b = 0 when k = 1); S sums the other dimensions.
@@ -148,7 +143,7 @@ def _slice_stack(f: Map, max_points: int) -> np.ndarray:
     others = sorted(by_size[:-2])
     n_a, n_b = dims[a], (dims[b] if b is not None else 0)
     sizes = [p ** dims[i] for i in others]
-    shape.guard(math.prod(sizes) * n_a * n_b, max_points, "slice stack")
+    Shape.guard(math.prod(sizes) * n_a * n_b, "slice stack")
     E = np.zeros(sizes + [n_a + 1, n_b + 1], dtype=np.int64)
     for I, C in f.parts.items():
         axes = sorted(i - 1 for i in I)
@@ -165,7 +160,7 @@ def _slice_stack(f: Map, max_points: int) -> np.ndarray:
     return E.reshape(-1, n_a + 1, n_b + 1)
 
 
-def _slice_histogram(f: Map, max_points: int) -> ValueHistogram:
+def _slice_histogram(f: Map) -> ValueHistogram:
     """Exact value histogram of a scalar map from one elimination of its
     slice stack over M's columns (`linalg.reduce_many`); no point of the
     domain is enumerated.  A slice is balanced, every value p^(n_a+n_b-1)
@@ -177,8 +172,8 @@ def _slice_histogram(f: Map, max_points: int) -> ValueHistogram:
     if f.m != 1:
         raise ValueError("a bias needs a scalar-valued map")
     p = f.shape.p
-    f.shape.guard(p, max_points, "value histogram")
-    stack = _slice_stack(f, max_points)
+    Shape.guard(p, "value histogram")
+    stack = _slice_stack(f)
     B, n_a, n_b = stack.shape[0], stack.shape[1] - 1, stack.shape[2] - 1
     pivot, carried = linalg.reduce_many(stack, p, n_b)
     last = carried[:, :, 0] * ~pivot  # u entries left on rows of M without a pivot, then t0
@@ -194,20 +189,20 @@ def _slice_histogram(f: Map, max_points: int) -> ValueHistogram:
     return ValueHistogram(p, tuple(counts.tolist()), B * p ** N)
 
 
-def bias(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> complex:
-    return bias_report(f, max_points).bias
+def bias(f: Map) -> complex:
+    return bias_report(f).bias
 
 
-def arank(f: MultilinearMap, max_points: int = DEFAULT_ENUM_GUARD) -> float:
-    rep = bias_report(f, max_points)
+def arank(f: MultilinearMap) -> float:
+    rep = bias_report(f)
     if rep.arank is None:
         raise ValueError("analytic rank is defined for multilinear forms only")
     return rep.arank
 
 
-def exact_bias(f: MultilinearMap, max_points: int = DEFAULT_ENUM_GUARD) -> Fraction:
+def exact_bias(f: MultilinearMap) -> Fraction:
     """`bias_report(f).bias_exact`, without the character table of F_p."""
-    hist = _slice_histogram(f, max_points)
+    hist = _slice_histogram(f)
     if not isinstance(f, MultilinearMap):
         raise ValueError("exact bias is defined for multilinear forms only")
     return _exact_counts(f, hist)[0]
@@ -237,10 +232,10 @@ class BiasHomogReport:
     ok: bool
 
 
-def bias_homog_check(f: MultiaffineMap, max_points: int = DEFAULT_ENUM_GUARD) -> BiasHomogReport:
+def bias_homog_check(f: MultiaffineMap) -> BiasHomogReport:
     """|E chi(f)| <= E chi(top multilinear part), the latter a real rational."""
-    lhs = abs(bias(f, max_points))
-    rhs = exact_bias(top_part(f), max_points)
+    lhs = abs(bias(f))
+    rhs = exact_bias(top_part(f))
     return BiasHomogReport(lhs, rhs, lhs <= float(rhs) + CHI_TOL)
 
 
@@ -251,7 +246,7 @@ def bias_homog_check(f: MultiaffineMap, max_points: int = DEFAULT_ENUM_GUARD) ->
 def _box_average(shape: Shape, tables: dict) -> complex:
     """E_{x,y} prod_I Conj^|I| f_I(x_I, y_{[k] minus I}) for complex grids f_I."""
     k = shape.k
-    shape.guard(shape.domain_size ** 2 * (1 << k), BOX_GUARD ** 2 * (1 << k), "box average")
+    Shape.guard(shape.domain_size ** 2 * (1 << k), "box average", BOX_GUARD ** 2 * (1 << k), "analytic.BOX_GUARD")
     letters = string.ascii_lowercase
     if 2 * k > len(letters):
         raise ValueError("arity too large for the box average")
@@ -313,7 +308,7 @@ def gcs_check(shape: Shape, tables: dict) -> GcsReport:
     return GcsReport(lhs, rhs, lhs <= rhs + CHI_TOL)
 
 
-def chi_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
+def chi_table(f: Map) -> np.ndarray:
     """The complex grid chi(f(x)) of a scalar map."""
-    values = scalar_table(f, max_points)  # guards the domain, so p too, before the O(p) character table
+    values = scalar_table(f)  # guards the domain, so p too, before the O(p) character table
     return PrimeField(f.shape.p).char_table[values]

@@ -34,6 +34,7 @@ from .forms import (
     MultilinearMap,
     Shape,
     as_multiaffine,
+    code_to_vec,
     map_from_json,
     map_to_json,
     random_multilinear,
@@ -330,8 +331,7 @@ def cmd_scatter(args) -> int:
     coeff_count = int(np.prod(dims))
     for idx in range(count):
         if args.exhaustive:
-            digits = [(idx // shape.p ** t) % shape.p for t in range(coeff_count)]
-            coeffs = np.asarray(digits, dtype=np.int64).reshape(dims + (1,))
+            coeffs = np.asarray(code_to_vec(shape.p, coeff_count, idx), dtype=np.int64).reshape(dims + (1,))
             f = MultilinearMap(shape, 1, coeffs)
         else:
             f = random_multilinear(shape, 1, [args.seed, idx])

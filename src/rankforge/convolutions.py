@@ -13,10 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainSizeError, LemmaViolationError
+from .errors import LemmaViolationError
 from .field import PrimeField
 from .forms import (
-    DEFAULT_ENUM_GUARD,
     Map,
     Shape,
     addition_table,
@@ -81,8 +80,8 @@ def indicator_table(shape: Shape, member: np.ndarray) -> DomainTable:
     return DomainTable(shape, num=member.astype(np.int64), den=1)
 
 
-def zero_set_indicator(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> DomainTable:
-    member = zero_set_table(f, max_points)
+def zero_set_indicator(f: Map) -> DomainTable:
+    member = zero_set_table(f)
     return DomainTable(f.shape, num=member.astype(np.int64), den=1)
 
 
@@ -92,9 +91,7 @@ def conv_dir(t: DomainTable, i: int) -> DomainTable:
     if not 1 <= i <= shape.k:
         raise ValueError(f"direction {i} out of range for k={shape.k}")
     size = shape.sizes[i - 1]
-    cost = shape.domain_size * size
-    if cost > CONV_GUARD:
-        raise DomainSizeError(cost, CONV_GUARD, "directional convolution")
+    Shape.guard(shape.domain_size * size, "directional convolution", CONV_GUARD, "convolutions.CONV_GUARD")
     add = addition_table(shape.p, shape.dims[i - 1])
     ax = i - 1
     if t.exact:
@@ -399,7 +396,6 @@ def conv_approximation_check(
     exceptional_layers,
     epsilon: float,
     conv_direction_of_exceptional: int | None = None,
-    max_points: int = DEFAULT_ENUM_GUARD,
 ) -> ConvApproxReport:
     """Validate candidate approximation data for a convolution chain: the
     approximation sum_i c_i chi(rho_i(x)) must track the chain within epsilon
@@ -409,7 +405,7 @@ def conv_approximation_check(
     No constructor for such data is provided; this checks supplied data only.
     """
     shape = Z.shape
-    shape.guard(shape.domain_size, max_points, "approximation check")
+    Shape.guard(shape.domain_size, "approximation check")
     directions = [int(d) for d in directions]
     if conv_direction_of_exceptional is None and not directions:
         raise ValueError("an exceptional direction is required when no convolution is applied")
@@ -418,10 +414,10 @@ def conv_approximation_check(
     approx = np.zeros(shape.sizes, dtype=np.complex128)
     field = PrimeField(shape.p)  # p is at most the guarded domain size
     for c, rho in zip(coefficients, rhos):
-        approx += complex(c) * field.char_table[scalar_table(rho, max_points)]
+        approx += complex(c) * field.char_table[scalar_table(rho)]
     coeff_mass = float(sum(abs(complex(c)) for c in coefficients))
 
-    excl_union = exceptional_layers.union_table(max_points)
+    excl_union = exceptional_layers.union_table()
     # lift the union (on G_{[k] minus l}) to the full domain along coordinate l
     lifted = np.expand_dims(excl_union, axis=l - 1)
     lifted = np.broadcast_to(lifted, shape.sizes)

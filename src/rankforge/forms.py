@@ -62,9 +62,18 @@ class Shape:
             raise ValueError("empty coordinate set has no shape")
         return Shape(self.p, tuple(self.dims[i - 1] for i in coords))
 
-    def guard(self, needed: int, limit: int = DEFAULT_ENUM_GUARD, what: str = "enumeration"):
+    @staticmethod
+    def guard(needed: int, what: str, limit: int | None = None, constant: str = "forms.DEFAULT_ENUM_GUARD"):
+        """The one resource guard: refuse `needed` points of work over `limit`.
+
+        Callers pass `limit` as the module constant named by `constant` (or a
+        value derived from it), read when they run; without one,
+        DEFAULT_ENUM_GUARD is read here.  No limit is bound when a function
+        is defined, so a lowered constant takes effect at once."""
+        if limit is None:
+            limit = DEFAULT_ENUM_GUARD
         if needed > limit:
-            raise DomainSizeError(needed, limit, what)
+            raise DomainSizeError(needed, limit, what, constant)
 
 
 @lru_cache(maxsize=None)
@@ -275,26 +284,26 @@ def part_grid(shape: Shape, I: frozenset, C: np.ndarray) -> np.ndarray:
     return grid.reshape(full)
 
 
-def value_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
+def value_table(f: Map) -> np.ndarray:
     """Exact value grid, axes (codes of x_1..x_k, out)."""
     shape = f.shape
-    shape.guard(shape.domain_size, max_points, "value table")
+    Shape.guard(shape.domain_size, "value table")
     out = np.zeros(shape.sizes + (f.m,), dtype=np.int64)
     for I, C in as_multiaffine(f).parts.items():
         out = out + part_grid(shape, I, C)
     return out % shape.p
 
 
-def scalar_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
+def scalar_table(f: Map) -> np.ndarray:
     """Value grid of a scalar map, axes (codes of x_1..x_k)."""
     if f.m != 1:
         raise ValueError("scalar_table needs a scalar-valued map")
-    return value_table(f, max_points)[..., 0]
+    return value_table(f)[..., 0]
 
 
-def zero_set_table(f: Map, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
+def zero_set_table(f: Map) -> np.ndarray:
     """Boolean grid of {f = 0}."""
-    return ~value_table(f, max_points).any(axis=-1)
+    return ~value_table(f).any(axis=-1)
 
 
 # ---------------------------------------------------------------------------

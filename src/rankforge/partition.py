@@ -38,7 +38,6 @@ from . import linalg
 from .analytic import ceil_neg_log, exact_bias
 from .errors import LemmaViolationError
 from .forms import (
-    DEFAULT_ENUM_GUARD,
     MultilinearMap,
     Shape,
     part_grid,
@@ -177,13 +176,13 @@ def is_partition_rank_le1(alpha: MultilinearMap) -> PartitionSummand | None:
 #  Analytic lower bound
 # ---------------------------------------------------------------------------
 
-def lovett_lower_bound(alpha: MultilinearMap, max_points: int = DEFAULT_ENUM_GUARD) -> int:
+def lovett_lower_bound(alpha: MultilinearMap) -> int:
     """ceil(arank(alpha)) via exact integer arithmetic; a partition-rank lower bound."""
     if not alpha.scalar:
         raise ValueError("needs a scalar form")
     if alpha.is_zero():
         return 0
-    return ceil_neg_log(alpha.shape.p, exact_bias(alpha, max_points))
+    return ceil_neg_log(alpha.shape.p, exact_bias(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +316,7 @@ def monomial_decomposition(alpha: MultilinearMap) -> PartitionDecomposition:
     return PartitionDecomposition(alpha, summands)
 
 
-def prank_exact(
-    alpha: MultilinearMap,
-    r_max: int = 6,
-    budget: int = DEFAULT_BUDGET,
-    max_points: int = DEFAULT_ENUM_GUARD,
-) -> RankReport:
+def prank_exact(alpha: MultilinearMap, r_max: int = 6, budget: int = DEFAULT_BUDGET) -> RankReport:
     """Smallest number of rank-1 summands adding up to alpha, with a witness.
 
     Iterative deepening starting from the analytic lower bound.  A leaf of
@@ -343,7 +337,7 @@ def prank_exact(
     if shape.k < 2:
         raise ValueError("partition rank of a nonzero form needs arity k >= 2")
 
-    lovett = lovett_lower_bound(alpha, max_points)
+    lovett = lovett_lower_bound(alpha)
     trivial = monomial_decomposition(alpha)
     hi = len(trivial)
     sides, complete = _build_pool(shape)
@@ -354,7 +348,6 @@ def prank_exact(
     widths = np.repeat([side.width for side in sides], counts).astype(np.int64)
     n = len(side_of)
     wmax = int(widths.max()) if n else 0
-    batch_entries = min(BATCH_ENTRIES, max_points)
     target = alpha.coeffs[..., 0].reshape(-1)
     p = shape.p
     used = leaves = 0
@@ -381,9 +374,9 @@ def prank_exact(
         (prefix, j), j in [start, stop), of a prefix with quotient Q: the leaf
         is solvable iff Q b lies in the column span of Q B_j.  The images are
         padded to one height and width and checked in chunks of at most
-        `batch_entries` entries (or one leaf), in leaf order."""
+        `BATCH_ENTRIES` entries (or one leaf), in leaf order."""
         dmax = max(len(Q) for Q, _, _ in segments)
-        step = max(1, batch_entries // (max(1, dmax) * (wmax + 1)))
+        step = max(1, BATCH_ENTRIES // (max(1, dmax) * (wmax + 1)))
         pieces = [(Q, lo, min(lo + step, stop)) for Q, start, stop in segments for lo in range(start, stop, step)]
         done = k = 0
         while k < len(pieces):
@@ -407,7 +400,7 @@ def prank_exact(
 
     # [Q_parent B_i | I], one child's quotient system, has at most N x (N + wmax) entries
     child_entries = target.size * (target.size + wmax)
-    batch_kids = max(1, batch_entries // child_entries)
+    batch_kids = max(1, BATCH_ENTRIES // child_entries)
 
     def search_depth(r: int):
         nonlocal used, leaves
@@ -441,7 +434,7 @@ def prank_exact(
                 if not kids:
                     break
                 if Qp is None:
-                    shape.guard(child_entries, max_points, "prefix quotient")
+                    Shape.guard(child_entries, "prefix quotient")
                     Qp = linalg.nullspace(columns(parent).T, p) if parent else np.eye(target.size, dtype=np.int64)
                 # the children's quotients from the parent's, in one batched elimination
                 Y, basis = linalg.left_nullspace_many(padded_images(Qp, kids[0], kids[-1] + 1), p)

@@ -16,10 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from .analytic import CHI_TOL, ValueHistogram, exact_bias
-from .errors import DomainSizeError, LemmaViolationError
+from .errors import LemmaViolationError
 from .field import PrimeField, is_prime
 from .forms import (
-    DEFAULT_ENUM_GUARD,
     MultilinearMap,
     Shape,
     addition_table,
@@ -175,11 +174,8 @@ def polarize(f: PolyDense, degree: int | None = None) -> SymmetricForm:
     if d >= f.p:
         raise ValueError(f"degree {d} is not below the characteristic {f.p}")
     n, p = f.n, f.p
-    if n ** d > POLARIZE_GUARD:
-        raise DomainSizeError(n ** d, POLARIZE_GUARD, "polarization")
-    entries = n ** d * 2 ** d * n
-    if entries > DEFAULT_ENUM_GUARD:
-        raise DomainSizeError(entries, DEFAULT_ENUM_GUARD, "polarization points")
+    Shape.guard(n ** d, "polarization", POLARIZE_GUARD, "polarization.POLARIZE_GUARD")
+    Shape.guard(n ** d * 2 ** d * n, "polarization points")
     shape = Shape(p, (n,) * d)
     if (p - 1) ** 2 >= 1 << 63:
         raise OverflowError(f"polarization evaluates in int64 and needs (p - 1)^2 < 2^63, got p = {p}")
@@ -198,7 +194,7 @@ def polarize(f: PolyDense, degree: int | None = None) -> SymmetricForm:
 #  The amplification chain
 # ---------------------------------------------------------------------------
 
-def difference_table(f: PolyDense, d: int | None = None, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
+def difference_table(f: PolyDense, d: int | None = None) -> np.ndarray:
     """Values of the signed subset sum of f over shifts x + sum_{i in S} y^i,
     S over subsets of [d-1], on the full (x, y^1..y^{d-1}) domain.
 
@@ -214,8 +210,7 @@ def difference_table(f: PolyDense, d: int | None = None, max_points: int = DEFAU
         raise ValueError("the difference table needs degree >= 2")
     p, n = f.p, f.n
     N = p ** (n * d)
-    if N > max_points:
-        raise DomainSizeError(N, max_points, "difference table")
+    Shape.guard(N, "difference table")
     add = addition_table(p, n)
     table = f.evaluate_many(digit_matrix(p, n)).reshape(1, p ** n)  # rows: the y's added so far; columns: x
     for _ in range(d - 1):
@@ -235,7 +230,7 @@ class AmplificationReport:
     ok: bool
 
 
-def cs_amplification_check(f: PolyDense, max_points: int = DEFAULT_ENUM_GUARD) -> AmplificationReport:
+def cs_amplification_check(f: PolyDense) -> AmplificationReport:
     """Both displayed bounds of the amplification chain, exactly enumerated:
     |E chi(f)|^(2^(d-1)) <= E chi(signed sum), and
     bias(form) >= |E chi(f)|^(2^(2d-2)), each up to the chi tolerance."""
@@ -247,7 +242,7 @@ def cs_amplification_check(f: PolyDense, max_points: int = DEFAULT_ENUM_GUARD) -
     if d >= f.p:
         raise ValueError(f"degree {d} is not below the characteristic {f.p}")
     p, n = f.p, f.n
-    diffs = difference_table(f, d, max_points)  # guards p^(nd) >= p^n >= p before the tables below
+    diffs = difference_table(f, d)  # guards p^(nd) >= p^n >= p before the tables below
     field = PrimeField(p)
 
     fvals = f.evaluate_many(digit_matrix(p, n))
@@ -261,7 +256,7 @@ def cs_amplification_check(f: PolyDense, max_points: int = DEFAULT_ENUM_GUARD) -
     mid_real = mid.real
 
     alpha = polarize(f, d)
-    b_alpha = exact_bias(alpha.form, max_points)
+    b_alpha = exact_bias(alpha.form)
 
     ok = c_pow <= mid_real + CHI_TOL and float(b_alpha) >= abs(bias_f) ** (1 << (2 * d - 2)) - CHI_TOL
     if not ok:
@@ -281,7 +276,7 @@ class SubstitutionReport:
     ok: bool
 
 
-def substitute_decomposition(decomp: PartitionDecomposition, max_points: int = DEFAULT_ENUM_GUARD) -> SubstitutionReport:
+def substitute_decomposition(decomp: PartitionDecomposition) -> SubstitutionReport:
     """Turn a partition decomposition of a symmetric form into the identity
     diagonal(form)(x) = sum_i b_i(x) * g_i(x) with lower-degree factors,
     verified pointwise on all of F_p^n."""
@@ -297,8 +292,7 @@ def substitute_decomposition(decomp: PartitionDecomposition, max_points: int = D
     for s in decomp.summands:
         pairs.append((diagonal_poly(s.beta), diagonal_poly(s.gamma)))
     N = p ** n
-    if N > max_points:
-        raise DomainSizeError(N, max_points, "substitution check")
+    Shape.guard(N, "substitution check")
     pts = digit_matrix(p, n)
     lhs = diagonal_poly(target).evaluate_many(pts)
     rhs = np.zeros(N, dtype=np.int64)

@@ -22,13 +22,14 @@ from . import linalg
 from .analytic import exact_bias
 from .errors import LemmaViolationError
 from .forms import (
-    DEFAULT_ENUM_GUARD,
     Map,
     MultiaffineMap,
     MultilinearMap,
     Shape,
     as_multiaffine,
+    code_to_vec,
     compose_output,
+    digit_matrix,
     part_grid,
     slice_map,
     value_table,
@@ -36,6 +37,7 @@ from .forms import (
 )
 
 TRAVERSAL_GUARD = 1 << 21
+EXTRA_SWEEPS = 2                       # eccentricity samples after the double sweep
 EXACT_DIAMETER_WORK_CAP = 30_000_000   # uint64 word operations per BFS level
 BFS_STATE_WORDS = 1 << 21              # words in one bit-parallel state array (16 MB)
 
@@ -70,13 +72,13 @@ class Variety:
     def contains(self, xs) -> bool:
         return tuple(int(t) for t in self.defining_map.evaluate(xs)) == self.value
 
-    def table(self, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
-        vt = value_table(self.defining_map, max_points)
+    def table(self) -> np.ndarray:
+        vt = value_table(self.defining_map)
         want = np.asarray(self.value, dtype=np.int64)
         return (vt == want).all(axis=-1)
 
-    def size(self, max_points: int = DEFAULT_ENUM_GUARD) -> int:
-        return int(self.table(max_points).sum())
+    def size(self) -> int:
+        return int(self.table().sum())
 
 
 @dataclass(frozen=True)
@@ -93,20 +95,20 @@ class LayerFamily:
             raise ValueError("every layer value must match the target dimension")
         object.__setattr__(self, "selected", sel)
 
-    def layer_tables(self, max_points: int = DEFAULT_ENUM_GUARD):
-        vt = value_table(self.defining_map, max_points)
+    def layer_tables(self):
+        vt = value_table(self.defining_map)
         for v in self.selected:
             yield v, (vt == np.asarray(v, dtype=np.int64)).all(axis=-1)
 
-    def union_table(self, max_points: int = DEFAULT_ENUM_GUARD) -> np.ndarray:
+    def union_table(self) -> np.ndarray:
         out = np.zeros(self.defining_map.shape.sizes, dtype=bool)
-        for _, t in self.layer_tables(max_points):
+        for _, t in self.layer_tables():
             out |= t
         return out
 
 
-def density(V: Variety, max_points: int = DEFAULT_ENUM_GUARD) -> Fraction:
-    return Fraction(V.size(max_points), V.shape.domain_size)
+def density(V: Variety) -> Fraction:
+    return Fraction(V.size(), V.shape.domain_size)
 
 
 @dataclass(frozen=True)
@@ -117,9 +119,9 @@ class DensityBoundReport:
     ok: bool
 
 
-def density_bound_check(V: Variety, max_points: int = DEFAULT_ENUM_GUARD) -> DensityBoundReport:
+def density_bound_check(V: Variety) -> DensityBoundReport:
     """Nonempty varieties of codimension r have density at least p^(-k r)."""
-    d = density(V, max_points)
+    d = density(V)
     k = V.shape.k
     bound = Fraction(1, V.shape.p ** (k * V.codim))
     nonempty = d > 0
@@ -149,7 +151,7 @@ class BohrReport:
         return Fraction(self.exceptional_count, self.domain_size)
 
 
-def bohr_external(A: Map, s: int, seed, max_points: int = DEFAULT_ENUM_GUARD) -> BohrReport:
+def bohr_external(A: Map, s: int, seed) -> BohrReport:
     """phi(x)_i = A(x) . h_i for s independent uniform h_i.
 
     {A = 0} is contained in {phi = 0} by construction; the exceptional set
@@ -162,8 +164,8 @@ def bohr_external(A: Map, s: int, seed, max_points: int = DEFAULT_ENUM_GUARD) ->
     p = A.shape.p
     H = rng.integers(0, p, size=(A.m, s), dtype=np.int64)
     phi = compose_output(A, H)
-    tA = zero_set_table(A, max_points)
-    tPhi = zero_set_table(phi, max_points)
+    tA = zero_set_table(A)
+    tPhi = zero_set_table(phi)
     if (tA & ~tPhi).any():
         raise LemmaViolationError("containment {A=0} within {phi=0} failed")
     exceptional = int((tPhi & ~tA).sum())
@@ -178,12 +180,11 @@ class BohrSimReport:
     domain_size: int
 
 
-def bohr_external_sim(
-    A_list, epsilon: Fraction, seed, max_points: int = DEFAULT_ENUM_GUARD
-) -> BohrSimReport:
+def bohr_external_sim(A_list, epsilon: Fraction, seed) -> BohrSimReport:
     """Simultaneous version via the auxiliary map on G x F_p^r sending
     (x, lam) to sum_i lam_i A_i(x); one random approximation of it restricts
-    to approximations of every linear combination at once."""
+    to approximations of every linear combination at once.  Every one of
+    the p^r lambdas is checked; the guard is on their p^r * r digits."""
     A_list = list(A_list)
     if not A_list:
         raise ValueError("need at least one map")
@@ -196,6 +197,7 @@ def bohr_external_sim(
     epsilon = Fraction(epsilon)
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
+    Shape.guard(p ** r * r, "lambda grid")
     # smallest integer s with p^(r-s) <= epsilon, i.e. p^s * eps_num >= p^r * eps_den
     s = 0
     lhs = epsilon.numerator
@@ -226,10 +228,9 @@ def bohr_external_sim(
     phis = tuple(slice_map(psi, [aux_coord], [basis[i]]) for i in range(r))
 
     per_lambda = {}
-    tables_A = [value_table(A, max_points) for A in A_list]
-    tables_phi = [value_table(f, max_points) for f in phis]
-    lams = np.stack(np.meshgrid(*([np.arange(p)] * r), indexing="ij"), axis=-1).reshape(-1, r)
-    for lam in lams:
+    tables_A = [value_table(A) for A in A_list]
+    tables_phi = [value_table(f) for f in phis]
+    for lam in digit_matrix(p, r)[:, ::-1]:  # lam_1 most significant
         combA = sum(int(l) * t for l, t in zip(lam, tables_A)) % p
         combP = sum(int(l) * t for l, t in zip(lam, tables_phi)) % p
         zA = ~combA.any(axis=-1)
@@ -245,12 +246,7 @@ def bohr_external_sim(
 #  Internal / external approximation error of a layer family
 # ---------------------------------------------------------------------------
 
-def approximation_error(
-    layers: LayerFamily,
-    S: np.ndarray,
-    mode: str,
-    max_points: int = DEFAULT_ENUM_GUARD,
-) -> Fraction:
+def approximation_error(layers: LayerFamily, S: np.ndarray, mode: str) -> Fraction:
     """Density of the approximation defect of the selected layers against S.
 
     internal: each selected layer must be contained in S; the error is
@@ -263,7 +259,7 @@ def approximation_error(
     if mode not in ("internal", "external"):
         raise ValueError("mode must be 'internal' or 'external'")
     union = np.zeros(shape.sizes, dtype=bool)
-    for v, t in layers.layer_tables(max_points):
+    for v, t in layers.layer_tables():
         if mode == "internal" and (t & ~S).any():
             raise ValueError(f"layer {v} is not contained in S (internal mode)")
         union |= t
@@ -350,12 +346,7 @@ def _bit_diameter(member: np.ndarray) -> int:
     return diam
 
 
-def connectivity(
-    shape: Shape,
-    member: np.ndarray,
-    max_points: int = TRAVERSAL_GUARD,
-    extra_sweeps: int = 2,
-) -> ConnectivityReport:
+def connectivity(shape: Shape, member: np.ndarray) -> ConnectivityReport:
     """Connected components and diameter of a subset of G_[k].
 
     The diameter is exact when one level of the bit-parallel BFS from every
@@ -364,7 +355,7 @@ def connectivity(
     bound 2 * min eccentricity over double-sweep samples, flagged via
     diameter_exact=False, together with the eccentricity lower bound.
     """
-    shape.guard(shape.domain_size, max_points, "graph traversal")
+    Shape.guard(shape.domain_size, "graph traversal", TRAVERSAL_GUARD, "varieties.TRAVERSAL_GUARD")
     if member.dtype != bool or member.shape != shape.sizes:
         raise ValueError("need a boolean membership grid over the domain")
     size = int(member.sum())
@@ -395,7 +386,7 @@ def connectivity(
     lower = ecc_u
     upper = 2 * ecc_u
     src = du
-    for _ in range(1 + extra_sweeps):
+    for _ in range(1 + EXTRA_SWEEPS):
         far_mask = src == src.max()
         w = _first_true(far_mask)
         dw = _bfs_distances(member, w)
@@ -415,11 +406,7 @@ def eta_threshold(p: int, k: int, r: int) -> Fraction:
     return Fraction(1, 2 ** (2 * k)) * Fraction(1, p ** ((k + 1) * (3 * r + 2)))
 
 
-def nonzero_conn_check(
-    rho: MultilinearMap,
-    gammas,
-    max_points: int = TRAVERSAL_GUARD,
-) -> ConnectivityReport:
+def nonzero_conn_check(rho: MultilinearMap, gammas) -> ConnectivityReport:
     """Checks: if every full-support twist rho - sum lam_i gamma_i has bias at
     most eta = 2^(-2k) p^(-(k+1)(3r+2)), then the set
     {x : all gamma_i(x_{I_i}) = 0, rho(x) != 0} is connected with diameter at
@@ -439,30 +426,26 @@ def nonzero_conn_check(
             raise ValueError("index sets must be nonempty")
         if g.shape != shape.sub(I) or g.m != 1:
             raise ValueError("gamma does not match its index set")
+    # the traversal below bounds every bias computed here (p, slice stack <= |G|)
+    Shape.guard(shape.domain_size, "graph traversal", TRAVERSAL_GUARD, "varieties.TRAVERSAL_GUARD")
     r = len(gammas)
     eta = eta_threshold(p, k, r)
 
     full = frozenset(range(1, k + 1))
-    full_idx = [i for i, (I, _) in enumerate(gammas) if I == full]
+    full_coeffs = [g.coeffs for I, g in gammas if I == full]
     max_bias = Fraction(0)
-    lam_count = p ** len(full_idx)
-    for code in range(lam_count):
-        coeffs = rho.coeffs[..., 0].copy()
-        c = code
-        for i in full_idx:
-            lam = c % p
-            c //= p
-            coeffs = (coeffs - lam * gammas[i][1].coeffs[..., 0]) % p
-        twisted = MultilinearMap(shape, 1, coeffs.reshape(shape.dims + (1,)))
-        b = exact_bias(twisted, max_points)
+    for code in range(p ** len(full_coeffs)):
+        lams = code_to_vec(p, len(full_coeffs), code)
+        coeffs = (rho.coeffs - sum(lam * C for lam, C in zip(lams, full_coeffs))) % p
+        b = exact_bias(MultilinearMap(shape, 1, coeffs))
         max_bias = max(max_bias, b)
     hypothesis = max_bias <= eta
 
     # the target set
-    member = value_table(rho, max_points)[..., 0] != 0
+    member = value_table(rho)[..., 0] != 0
     for I, g in gammas:
         member &= _constraint_table(shape, I, g, 0)
-    rep = connectivity(shape, member, max_points)
+    rep = connectivity(shape, member)
     bound = (2 * k + 1) * (2 ** k - 1)
     rep.eta_threshold = eta
     rep.hypothesis_satisfied = hypothesis
@@ -552,11 +535,7 @@ def solvability_check(xs, lam, p: int) -> SolvabilityReport:
     violating = None
     d = K.shape[0]
     for code in range(p ** d):
-        mu = np.zeros(r, dtype=np.int64)
-        c = code
-        for t in range(d):
-            mu = (mu + (c % p) * K[t]) % p
-            c //= p
+        mu = np.asarray(code_to_vec(p, d, code), dtype=np.int64) @ K % p
         if int(mu @ lam % p) != 0:
             violating = mu
             break
@@ -596,7 +575,6 @@ def _lex_least_point(shape: Shape, table: np.ndarray):
 def multilinearize_variety(
     D: Variety,
     A: Map,
-    max_points: int = DEFAULT_ENUM_GUARD,
 ) -> MultilinearizedVariety:
     """Given a nonempty variety D contained in {A = 0}, produce at most
     2^(2k) codim(D) homogeneous multilinear constraints cutting out a
@@ -613,10 +591,10 @@ def multilinearize_variety(
     p, k = shape.p, shape.k
     if A.shape != shape:
         raise ValueError("A must live on the same domain as D")
-    tD = D.table(max_points)
+    tD = D.table()
     if not tD.any():
         raise ValueError("D is empty")
-    tA = zero_set_table(A, max_points)
+    tA = zero_set_table(A)
     if (tD & ~tA).any():
         raise ValueError("containment of D in {A = 0} fails")
 

@@ -19,7 +19,7 @@ from rankforge.analytic import (
     shifted_log,
     value_histogram,
 )
-from rankforge import linalg
+from rankforge import forms, linalg
 from test_linalg import _rank_oracle
 from rankforge.errors import DomainSizeError
 from rankforge.forms import (
@@ -64,9 +64,10 @@ def test_histogram_matches_oracle_random():
         assert list(value_histogram(f).counts) == histogram_oracle(f)
 
 
-def test_histogram_guard():
+def test_histogram_guard(monkeypatch):
+    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 1 << 10)
     with pytest.raises(DomainSizeError):
-        value_histogram(form(2, (10, 10), np.zeros(100)), max_points=1 << 10)
+        value_histogram(form(2, (10, 10), np.zeros(100)))
 
 
 def test_chi_table_guard_before_character_table():
@@ -368,12 +369,14 @@ def test_rank_route_past_the_enumeration_guard():
     assert rep.histogram.total == 2 ** 30
 
 
-def test_slice_stack_guard():
+def test_slice_stack_guard(monkeypatch):
     # slices on the two largest coordinates, 4 and 5: 2^3 * 4 * 5 = 160 entries
     f = form(2, (3, 4, 5), np.zeros(60))
-    assert exact_bias(f, max_points=160) == 1
+    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 160)
+    assert exact_bias(f) == 1
+    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 159)
     with pytest.raises(DomainSizeError) as err:
-        exact_bias(f, max_points=159)
+        exact_bias(f)
     assert err.value.needed == 160
 
 

@@ -128,6 +128,14 @@ def test_variety_bohr(tmp_path, capsys):
     assert payload["phi"]["target_dim"] == 2
 
 
+def test_variety_bohr_epsilon_guard(tmp_path, capsys):
+    # --epsilon checks every combination of the r = 40 components: p^r * r = 2^40 * 40
+    # lambda digits, refused before any table is built
+    f = MultilinearMap(Shape(2, (1,)), 40, np.ones((1, 40), dtype=np.int64))
+    assert main(["variety", "bohr", "--map", write_map(tmp_path, f), "--epsilon", "1/2"]) == 3
+    assert "lambda grid" in capsys.readouterr().err
+
+
 def test_conv_command(tmp_path, capsys):
     sh = Shape(2, (1, 1))
     f = MultilinearMap(sh, 1, np.ones((1, 1, 1), dtype=np.int64))

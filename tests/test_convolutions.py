@@ -280,15 +280,15 @@ def test_conv_approximation_guard_before_tables(monkeypatch):
     # numpy cannot hold a table on F_p with p = 2^61 - 1, not even a zero-stride
     # view, so the order is checked on a small domain: the domain guard refuses
     # before the O(p) character table is built
-    from rankforge import convolutions
+    from rankforge import convolutions, forms
 
     def no_field(p):
         raise AssertionError("character table built before the domain guard")
 
     monkeypatch.setattr(convolutions, "PrimeField", no_field)
+    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 2)
     sh = Shape(2, (1, 1))
     Z = indicator_table(sh, np.ones(sh.sizes, dtype=bool))
     gamma = MultiaffineMap(Shape(2, (1,)), 1, {frozenset([1]): np.array([[1]])})
     with pytest.raises(DomainSizeError):
-        conv_approximation_check(Z, [1], [1.0], [form(2, (1, 1), [0])], LayerFamily(gamma, ()), 1e-6,
-                                 max_points=2)
+        conv_approximation_check(Z, [1], [1.0], [form(2, (1, 1), [0])], LayerFamily(gamma, ()), 1e-6)

@@ -39,3 +39,15 @@ def test_no_concurrency_in_library():
                 continue
             found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in banned]
     assert not found, f"concurrency imported at {found}"
+
+
+def test_one_guard_routine():
+    # every resource refusal is raised by forms.Shape.guard, which reads its limit at call time
+    found = []
+    for path in sorted(Path(rankforge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "DomainSizeError":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert len(found) == 1 and found[0].startswith("forms.py:"), f"DomainSizeError raised at {found}"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rankforge import forms
 from rankforge.cli import main
 from rankforge.errors import DomainSizeError
 from rankforge.forms import digit_matrix
@@ -234,11 +235,13 @@ def test_difference_table_layout():
     assert table[1 + 5 * 2 + 25 * 4 + 125 * 3] == (f.evaluate([0, 0]) - f.evaluate([1, 2])) % 5 == 2
 
 
-def test_difference_table_guard():
+def test_difference_table_guard(monkeypatch):
     f = PolyDense(5, 2, {(2, 1): 1})
-    assert difference_table(f, 3, max_points=5 ** 6).size == 5 ** 6
+    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 5 ** 6)
+    assert difference_table(f, 3).size == 5 ** 6
+    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 5 ** 6 - 1)
     with pytest.raises(DomainSizeError):
-        difference_table(f, 3, max_points=5 ** 6 - 1)
+        difference_table(f, 3)
 
 
 def test_amplification_example_f3_xy():

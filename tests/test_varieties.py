@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankforge.varieties as V
+from rankforge.errors import DomainSizeError
 from rankforge.forms import (
     MultiaffineMap,
     MultilinearMap,
@@ -385,6 +386,20 @@ def test_nonzero_conn_rank1_informational():
     rep = nonzero_conn_check(rho, [])
     assert not rep.hypothesis_satisfied
     assert rep.max_bias == Fraction(1, 2)
+
+
+def test_nonzero_conn_guard_before_bias(monkeypatch):
+    # the domain is refused against TRAVERSAL_GUARD before any twist's bias is
+    # computed, though its slice stack (2^3 slices of 3 x 3) would be admitted
+    def no_bias(f):
+        raise AssertionError("bias computed before the traversal guard")
+
+    monkeypatch.setattr(V, "exact_bias", no_bias)
+    monkeypatch.setattr(V, "TRAVERSAL_GUARD", 2 ** 9 - 1)
+    rho = random_multilinear(Shape(2, (3, 3, 3)), 1, [13, 0])
+    with pytest.raises(DomainSizeError) as err:
+        nonzero_conn_check(rho, [(frozenset([1, 2, 3]), rho)])
+    assert (err.value.needed, err.value.limit) == (2 ** 9, 2 ** 9 - 1)
 
 
 def test_nonzero_conn_with_gammas():
