@@ -10,7 +10,6 @@ from .forms import (
     Shape,
     as_multiaffine,
     curry_last,
-    evaluate,
     map_from_json,
     map_to_json,
     multilinear_parts,

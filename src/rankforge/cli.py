@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -59,31 +58,6 @@ SCATTER_COLUMNS = [
     "witness_size",
     "search_nodes",
 ]
-
-
-@dataclass
-class ExperimentConfig:
-    p: int
-    dims: tuple[int, ...]
-    count: int
-    seed: int
-    r_max: int
-    budget: int
-    exhaustive: bool = False
-    version: str = field(default=__version__)
-
-    def header_lines(self) -> list[str]:
-        items = [
-            f"version={self.version}",
-            f"p={self.p}",
-            f"dims={','.join(map(str, self.dims))}",
-            f"count={self.count}",
-            f"seed={self.seed}",
-            f"rmax={self.r_max}",
-            f"budget={self.budget}",
-            f"exhaustive={int(self.exhaustive)}",
-        ]
-        return [f"# {it}" for it in items]
 
 
 def _frac(x: Fraction) -> dict:
@@ -192,8 +166,9 @@ def cmd_boxnorm(args) -> int:
 
 def cmd_variety(args) -> int:
     f = _load_map(args.map)
-    value = tuple(int(t) for t in args.layer.split(",")) if args.layer else None
-    V = Variety(f, value)
+    if args.action != "bohr":
+        value = tuple(int(t) for t in args.layer.split(",")) if args.layer else None
+        V = Variety(f, value)
     if args.action == "density":
         rep = density_bound_check(V)
         payload = {
@@ -268,8 +243,6 @@ def cmd_conv(args) -> int:
 
 
 def cmd_arrange(args) -> int:
-    if not args.check:
-        raise ValueError("arrange currently only supports --check")
     rng = np.random.default_rng([args.seed, 0])
     shapes = [
         Shape(2, (1, 1)),
@@ -322,13 +295,19 @@ def cmd_polarize(args) -> int:
 def cmd_scatter(args) -> int:
     dims = tuple(int(t) for t in args.dims.split(","))
     shape = Shape(args.p, dims)
-    count = args.count
-    if args.exhaustive:
-        count = shape.p ** (int(np.prod(dims)))
-    cfg = ExperimentConfig(args.p, dims, count, args.seed, args.rmax, args.budget_nodes, args.exhaustive)
-    lines = cfg.header_lines()
-    lines.append(",".join(SCATTER_COLUMNS))
     coeff_count = int(np.prod(dims))
+    count = shape.p ** coeff_count if args.exhaustive else args.count
+    config = [
+        ("version", __version__),
+        ("p", args.p),
+        ("dims", ",".join(map(str, dims))),
+        ("count", count),
+        ("seed", args.seed),
+        ("rmax", args.rmax),
+        ("budget", args.budget_nodes),
+        ("exhaustive", int(args.exhaustive)),
+    ]
+    rows = []
     for idx in range(count):
         if args.exhaustive:
             coeffs = np.asarray(code_to_vec(shape.p, coeff_count, idx), dtype=np.int64).reshape(dims + (1,))
@@ -339,30 +318,25 @@ def cmd_scatter(args) -> int:
         rank_rep = prank_exact(f, r_max=args.rmax, budget=args.budget_nodes)
         if not rank_rep.lovett_lower <= rank_rep.prank_hi:
             raise LemmaViolationError("analytic lower bound exceeded the rank upper bound")
-        lines.append(
-            ",".join(
-                str(v)
-                for v in [
-                    idx,
-                    rep.bias_exact.numerator,
-                    rep.bias_exact.denominator,
-                    f"{rep.arank:.12g}",
-                    rank_rep.lovett_lower,
-                    rank_rep.prank_lo,
-                    rank_rep.prank_hi,
-                    int(rank_rep.exact),
-                    len(rank_rep.witness) if rank_rep.witness else 0,
-                    rank_rep.nodes,
-                ]
-            )
-        )
+        rows.append([
+            idx,
+            rep.bias_exact.numerator,
+            rep.bias_exact.denominator,
+            f"{rep.arank:.12g}",
+            rank_rep.lovett_lower,
+            rank_rep.prank_lo,
+            rank_rep.prank_hi,
+            int(rank_rep.exact),
+            len(rank_rep.witness) if rank_rep.witness else 0,
+            rank_rep.nodes,
+        ])
     if args.format == "json":
-        cols = SCATTER_COLUMNS
-        records = [dict(zip(cols, row.split(","))) for row in lines[len(cfg.header_lines()) + 1 :]]
-        _emit({"config": {k: v for k, v in
-                          (l[2:].split("=", 1) for l in cfg.header_lines())},
-               "records": records}, args.out)
+        # every value a string, as read back from the CSV
+        _emit({"config": {k: str(v) for k, v in config},
+               "records": [{c: str(v) for c, v in zip(SCATTER_COLUMNS, row)} for row in rows]}, args.out)
         return 0
+    lines = [f"# {k}={v}" for k, v in config] + [",".join(SCATTER_COLUMNS)]
+    lines += [",".join(map(str, row)) for row in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -377,82 +351,76 @@ def cmd_scatter(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command, and each `variety` action, takes exactly the options its function reads."""
     ap = argparse.ArgumentParser(prog="rankforge", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(parsers, name, fn, text, summary=False):
+        sp = parsers.add_parser(name, help=text)
         sp.add_argument("--out", default=None, help="write output to this file")
-        sp.add_argument("--format", choices=["json", "csv"], default=None)
-        sp.add_argument("--summary", action="store_true", help="print a one-line summary to stderr")
+        if summary:
+            sp.add_argument("--summary", action="store_true", help="print a one-line summary to stderr")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("arank", help="bias, histogram and analytic rank of a map")
+    sp = command(sub, "arank", cmd_arank, "bias, histogram and analytic rank of a map", summary=True)
     sp.add_argument("--map", required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_arank)
 
-    sp = sub.add_parser("prank", help="exact partition rank with witness")
+    sp = command(sub, "prank", cmd_prank, "exact partition rank with witness", summary=True)
     sp.add_argument("--map", required=True)
     sp.add_argument("--rmax", type=int, default=6)
     sp.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
-    common(sp)
-    sp.set_defaults(fn=cmd_prank)
 
-    sp = sub.add_parser("boxnorm", help="Gowers box norm of chi composed with a map")
+    sp = command(sub, "boxnorm", cmd_boxnorm, "Gowers box norm of chi composed with a map", summary=True)
     sp.add_argument("--map", required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_boxnorm)
 
     sp = sub.add_parser("variety", help="density / connectivity / external approximation")
-    sp.add_argument("action", choices=["density", "connect", "bohr"])
+    actions = sp.add_subparsers(dest="action", required=True)
+    for action, text in [("density", "density of a level set against its lower bound"),
+                         ("connect", "connectivity and diameter of a level set")]:
+        sp = command(actions, action, cmd_variety, text)
+        sp.add_argument("--map", required=True)
+        sp.add_argument("--layer", default=None, help="comma-separated layer value, default 0")
+    sp = command(actions, "bohr", cmd_variety, "external approximation of the zero set")
     sp.add_argument("--map", required=True)
-    sp.add_argument("--layer", default=None, help="comma-separated layer value, default 0")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--s", type=int, default=1, help="codimension of the approximation")
-    sp.add_argument("--epsilon", default=None,
-                    help="error density for the simultaneous component approximation, e.g. 1/4")
-    common(sp)
-    sp.set_defaults(fn=cmd_variety)
+    # string defaults for --s and --count: argparse tells a given value from the default
+    # by identity, so an int default would let `--s 1 --epsilon ...` pass the exclusion
+    size = sp.add_mutually_exclusive_group()
+    size.add_argument("--s", type=int, default="1", help="codimension of the approximation")
+    size.add_argument("--epsilon", default=None,
+                      help="error density for the simultaneous component approximation, e.g. 1/4")
 
-    sp = sub.add_parser("conv", help="iterated directional convolution of a zero set")
+    sp = command(sub, "conv", cmd_conv, "iterated directional convolution of a zero set")
     sp.add_argument("--map", required=True)
     sp.add_argument("--chain", default=None, help="comma-separated directions, default 1..k")
     sp.add_argument("--histogram", action="store_true")
-    common(sp)
-    sp.set_defaults(fn=cmd_conv)
 
-    sp = sub.add_parser("arrange", help="randomized arrangement identity suites")
-    sp.add_argument("--check", action="store_true")
+    sp = command(sub, "arrange", cmd_arrange, "randomized arrangement identity suites")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=int, default=50)
-    common(sp)
-    sp.set_defaults(fn=cmd_arrange)
 
-    sp = sub.add_parser("polarize", help="symmetric form of a polynomial")
+    sp = command(sub, "polarize", cmd_polarize, "symmetric form of a polynomial")
     sp.add_argument("--poly", required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_polarize)
 
-    sp = sub.add_parser("scatter", help="analytic-vs-partition rank ensemble CSV")
+    sp = command(sub, "scatter", cmd_scatter, "analytic-vs-partition rank ensemble CSV")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--dims", required=True, help="comma-separated dimensions")
-    sp.add_argument("--count", type=int, default=0)
-    sp.add_argument("--exhaustive", action="store_true")
+    ensemble = sp.add_mutually_exclusive_group()
+    ensemble.add_argument("--count", type=int, default="0")
+    ensemble.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--rmax", type=int, default=6)
     sp.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
-    common(sp)
-    sp.set_defaults(fn=cmd_scatter)
+    sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "format", None) == "csv" and args.fn is not cmd_scatter:
-            raise ValueError("csv output is only available for scatter")
         return args.fn(args)
     except (DomainSizeError, OverflowError) as e:
         # OverflowError: an exact count or denominator would outgrow its 64-bit guard

@@ -256,10 +256,6 @@ def as_multiaffine(f: Map) -> MultiaffineMap:
     return MultiaffineMap(f.shape, f.m, f.parts)
 
 
-def evaluate(f: Map, xs) -> np.ndarray:
-    return f.evaluate(xs)
-
-
 # ---------------------------------------------------------------------------
 #  Full-domain value tables
 # ---------------------------------------------------------------------------

@@ -37,11 +37,7 @@ import numpy as np
 from . import linalg
 from .analytic import ceil_neg_log, exact_bias
 from .errors import LemmaViolationError
-from .forms import (
-    MultilinearMap,
-    Shape,
-    part_grid,
-)
+from .forms import MultilinearMap, Shape
 
 MODE_CAP = 4096          # normalized factors enumerable per bipartition side
 DEFAULT_BUDGET = 200_000  # solver unknowns, summed over the leaves checked
@@ -55,12 +51,6 @@ class PartitionSummand:
     subset: frozenset
     beta: MultilinearMap
     gamma: MultilinearMap
-
-    def value_grid(self, shape: Shape) -> np.ndarray:
-        comp = frozenset(range(1, shape.k + 1)) - self.subset
-        bg = part_grid(shape, self.subset, self.beta.coeffs)
-        gg = part_grid(shape, comp, self.gamma.coeffs)
-        return (bg * gg % shape.p)[..., 0]
 
     def coeff_tensor(self, shape: Shape) -> np.ndarray:
         Is = sorted(self.subset)
@@ -77,13 +67,6 @@ class PartitionDecomposition:
 
     def __len__(self):
         return len(self.summands)
-
-    def value_grid(self) -> np.ndarray:
-        shape = self.target.shape
-        out = np.zeros(shape.sizes, dtype=np.int64)
-        for s in self.summands:
-            out += s.value_grid(shape)
-        return out % shape.p
 
     def verify(self) -> bool:
         """Exact reconstruction on the full domain."""

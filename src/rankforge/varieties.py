@@ -23,7 +23,6 @@ from .analytic import exact_bias
 from .errors import LemmaViolationError
 from .forms import (
     Map,
-    MultiaffineMap,
     MultilinearMap,
     Shape,
     as_multiaffine,
@@ -183,8 +182,10 @@ class BohrSimReport:
 def bohr_external_sim(A_list, epsilon: Fraction, seed) -> BohrSimReport:
     """Simultaneous version via the auxiliary map on G x F_p^r sending
     (x, lam) to sum_i lam_i A_i(x); one random approximation of it restricts
-    to approximations of every linear combination at once.  Every one of
-    the p^r lambdas is checked; the guard is on their p^r * r digits."""
+    to approximations of every linear combination at once.  That
+    approximation is the auxiliary map composed with one random H, linear in
+    lam, so its restriction to lam = e_i is A_i composed with H.  Every one
+    of the p^r lambdas is checked; the guard is on their p^r * r digits."""
     A_list = list(A_list)
     if not A_list:
         raise ValueError("need at least one map")
@@ -207,25 +208,9 @@ def bohr_external_sim(A_list, epsilon: Fraction, seed) -> BohrSimReport:
         s += 1
     s = max(s, 1)
 
-    ext_shape = Shape(p, shape.dims + (r,))
-    aux_parts: dict[frozenset, np.ndarray] = {}
-    aux_coord = shape.k + 1
-    for i, A in enumerate(A_list):
-        for I, C in as_multiaffine(A).parts.items():
-            J = I | {aux_coord}
-            want = tuple(ext_shape.dims[t - 1] for t in sorted(J)) + (m,)
-            if J not in aux_parts:
-                aux_parts[J] = np.zeros(want, dtype=np.int64)
-            # the auxiliary coordinate axis sits right before the out axis
-            aux_parts[J][..., i, :] = (aux_parts[J][..., i, :] + C) % p
-    Phi = MultiaffineMap(ext_shape, m, aux_parts)
-
     rng = np.random.default_rng(seed)
     H = rng.integers(0, p, size=(m, s), dtype=np.int64)
-    psi = compose_output(Phi, H)
-
-    basis = np.eye(r, dtype=np.int64)
-    phis = tuple(slice_map(psi, [aux_coord], [basis[i]]) for i in range(r))
+    phis = tuple(as_multiaffine(compose_output(A, H)) for A in A_list)
 
     per_lambda = {}
     tables_A = [value_table(A) for A in A_list]
@@ -530,15 +515,12 @@ def solvability_check(xs, lam, p: int) -> SolvabilityReport:
 
     y = linalg.solve(X, lam, p)  # condition (i) by elimination
 
-    # condition (ii) by kernel enumeration
+    # condition (ii) on the kernel basis: mu . lam is linear in mu, so it vanishes on
+    # the whole kernel iff it vanishes on every basis row.  In the code order of the
+    # kernel's p^d combinations, the first to break it is the first breaking row.
     K = linalg.nullspace(X.T, p)  # rows mu with sum mu_i x_i = 0
-    violating = None
-    d = K.shape[0]
-    for code in range(p ** d):
-        mu = np.asarray(code_to_vec(p, d, code), dtype=np.int64) @ K % p
-        if int(mu @ lam % p) != 0:
-            violating = mu
-            break
+    breaking = np.flatnonzero(K @ lam % p)
+    violating = K[breaking[0]] if breaking.size else None
     cond_ii = violating is None
 
     if (y is not None) != cond_ii:

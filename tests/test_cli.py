@@ -3,7 +3,9 @@ import copy
 import io
 import json
 import os
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,7 +153,7 @@ def test_conv_command(tmp_path, capsys):
 
 
 def test_arrange_check(capsys):
-    code, out = run(capsys, ["arrange", "--check", "--seed", "3", "--count", "10"])
+    code, out = run(capsys, ["arrange", "--seed", "3", "--count", "10"])
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] and payload["checks"]["identity"] == 10
@@ -310,7 +312,7 @@ def test_format_csv_rejected_outside_scatter(tmp_path):
     sh = Shape(2, (1, 1))
     f = MultilinearMap(sh, 1, np.ones((1, 1, 1), dtype=np.int64))
     path = write_map(tmp_path, f)
-    assert main(["arank", "--map", path, "--format", "csv"]) == 2
+    assert _exit_code(["arank", "--map", path, "--format", "csv"], tmp_path) == 2
 
 
 def test_scatter_json_format(tmp_path, capsys):
@@ -458,3 +460,62 @@ def test_fuzz_bad_flags(tmp_path_factory, command, tokens):
              "FILE": str(d / "missing" / "out.json")}
     argv = [command] + [files.get(t, t) for t in tokens]
     assert _exit_code(argv, d) in (0, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+#  Every option is read by the command that takes it
+# ---------------------------------------------------------------------------
+
+def _ignored(valid, *extra):
+    """`valid` exits 0; with `extra` appended it must exit 2."""
+    command = [t for t in valid[:2] if not t.startswith("-")]
+    return pytest.param(valid, valid + list(extra), id=" ".join(command + list(extra)))
+
+
+MAP_FILE = ["--map", "m.json"]
+IGNORED_OPTIONS = [
+    # options no command read
+    *[_ignored(argv, "--format", "json") for argv in [
+        ["arank", *MAP_FILE], ["prank", *MAP_FILE], ["boxnorm", *MAP_FILE],
+        ["variety", "density", *MAP_FILE], ["conv", *MAP_FILE], ["arrange", "--count", "1"],
+        ["polarize", "--poly", "f.json"]]],
+    *[_ignored(argv, "--summary") for argv in [
+        ["variety", "density", *MAP_FILE], ["variety", "connect", *MAP_FILE],
+        ["variety", "bohr", *MAP_FILE], ["conv", *MAP_FILE], ["arrange", "--count", "1"],
+        ["polarize", "--poly", "f.json"], ["scatter", "--p", "2", "--dims", "1,1"]]],
+    _ignored(["arrange", "--count", "1"], "--check"),
+    # combinations in which a command dropped an option
+    _ignored(["variety", "bohr", *MAP_FILE], "--layer", "1"),
+    _ignored(["variety", "density", *MAP_FILE], "--seed", "9"),
+    _ignored(["variety", "connect", *MAP_FILE], "--s", "4"),
+    _ignored(["variety", "density", *MAP_FILE], "--epsilon", "1/4"),
+    _ignored(["variety", "bohr", *MAP_FILE, "--epsilon", "1/2"], "--s", "5"),
+    _ignored(["variety", "bohr", *MAP_FILE, "--epsilon", "1/2"], "--s", "1"),
+    _ignored(["scatter", "--p", "2", "--dims", "1,1", "--exhaustive"], "--count", "7"),
+    _ignored(["scatter", "--p", "2", "--dims", "1,1", "--exhaustive"], "--count", "0"),
+    pytest.param(["variety", "density", *MAP_FILE], ["variety", *MAP_FILE, "density"],
+                 id="variety options before the action"),
+]
+CLI_POLY = {"p": 5, "n": 3, "terms": [{"exp": [1, 1, 1], "c": 1}]}
+
+
+def _cli_files(d):
+    (d / "m.json").write_text(json.dumps(GOOD_MAP))
+    (d / "f.json").write_text(json.dumps(CLI_POLY))
+
+
+@pytest.mark.parametrize("valid,argv", IGNORED_OPTIONS)
+def test_ignored_option_exits_2(tmp_path, valid, argv):
+    _cli_files(tmp_path)
+    assert _exit_code(valid, tmp_path) == 0
+    assert _exit_code(argv, tmp_path) == 2
+
+
+def test_readme_command_line_runs(tmp_path):
+    # every line of the README's "Command line" block, so the two cannot drift apart
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+    assert len(commands) >= 10 and all(argv[0] == "rankforge" for argv in commands)
+    _cli_files(tmp_path)
+    assert [argv for argv in commands if _exit_code(argv[1:], tmp_path) != 0] == []

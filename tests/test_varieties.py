@@ -7,15 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankforge.varieties as V
+from rankforge import linalg
 from rankforge.errors import DomainSizeError
 from rankforge.forms import (
     MultiaffineMap,
     MultilinearMap,
     Shape,
     as_multiaffine,
+    code_to_vec,
+    compose_output,
     domain_codes,
     random_multiaffine,
     random_multilinear,
+    slice_map,
     stack_maps,
     value_table,
     zero_set_table,
@@ -146,6 +150,44 @@ def test_bohr_sim_mean_bound():
 # ---------------------------------------------------------------------------
 #  layer approximation error
 # ---------------------------------------------------------------------------
+
+def _auxiliary_phis_oracle(A_list, s, seed):
+    """The simultaneous approximation built on G x F_p^r: the auxiliary map
+    (x, lam) -> sum_i lam_i A_i(x), composed with H, sliced at each e_i."""
+    shape, m, r = A_list[0].shape, A_list[0].m, len(A_list)
+    p = shape.p
+    ext_shape = Shape(p, shape.dims + (r,))
+    aux_coord = shape.k + 1
+    aux_parts = {}
+    for i, A in enumerate(A_list):
+        for I, C in as_multiaffine(A).parts.items():
+            J = I | {aux_coord}
+            want = tuple(ext_shape.dims[t - 1] for t in sorted(J)) + (m,)
+            aux_parts.setdefault(J, np.zeros(want, dtype=np.int64))
+            # the auxiliary coordinate axis sits right before the out axis
+            aux_parts[J][..., i, :] = (aux_parts[J][..., i, :] + C) % p
+    H = np.random.default_rng(seed).integers(0, p, size=(m, s), dtype=np.int64)
+    psi = compose_output(MultiaffineMap(ext_shape, m, aux_parts), H)
+    basis = np.eye(r, dtype=np.int64)
+    return tuple(slice_map(psi, [aux_coord], [basis[i]]) for i in range(r))
+
+
+def test_bohr_sim_phis_match_auxiliary_slices():
+    rng = np.random.default_rng(71)
+    for t in range(40):
+        p = int(rng.choice([2, 3, 5]))
+        r = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 3))
+        dims = tuple(int(n) for n in rng.integers(1, 3, size=int(rng.integers(1, 3))))
+        sh = Shape(p, dims)
+        A_list = [
+            (random_multilinear if rng.integers(0, 2) else random_multiaffine)(sh, m, [73, t, i])
+            for i in range(r)
+        ]
+        eps = Fraction(1, int(rng.integers(1, 5)))
+        rep = bohr_external_sim(A_list, eps, [79, t])
+        assert rep.phis == _auxiliary_phis_oracle(A_list, rep.s, [79, t])
+
 
 def test_approx_error_modes():
     sh = Shape(2, (1, 1))
@@ -445,6 +487,42 @@ def test_solvability_exhaustive_small():
                     for y in vecs
                 )
                 assert rep.exists == brute
+
+
+def _solvability_oracle(xs, lam, p):
+    """The kernel criterion by enumerating all p^d combinations of the kernel
+    basis, in code order; returns (exists, witness_y, violating_mu)."""
+    X = np.vstack([np.asarray(x, dtype=np.int64) % p for x in xs])
+    lam = np.asarray(lam, dtype=np.int64) % p
+    K = linalg.nullspace(X.T, p)
+    d = K.shape[0]
+    for code in range(p ** d):
+        mu = np.asarray(code_to_vec(p, d, code), dtype=np.int64) @ K % p
+        if int(mu @ lam % p) != 0:
+            return False, None, mu
+    return True, linalg.solve(X, lam, p), None
+
+
+def test_solvability_matches_kernel_enumeration():
+    rng = np.random.default_rng(83)
+    unsolvable = 0
+    for _ in range(400):
+        p = int(rng.choice([2, 3, 5, 7]))
+        n = int(rng.integers(1, 4))
+        r = int(rng.integers(1, 6))
+        # rows drawn from a random low-rank span, so that kernels are often large
+        basis = rng.integers(0, p, size=(int(rng.integers(1, n + 1)), n))
+        xs = list(rng.integers(0, p, size=(r, basis.shape[0])) @ basis % p)
+        lam = rng.integers(0, p, size=r)
+        rep = solvability_check(xs, lam, p)
+        exists, y, mu = _solvability_oracle(xs, lam, p)
+        assert rep.exists == exists
+        assert (rep.witness_y is None) == (y is None)
+        assert y is None or np.array_equal(rep.witness_y, y)
+        assert (rep.violating_mu is None) == (mu is None)
+        assert mu is None or np.array_equal(rep.violating_mu, mu)
+        unsolvable += not exists
+    assert unsolvable >= 100
 
 
 def test_nonvanisher_examples():
