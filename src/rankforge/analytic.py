@@ -23,6 +23,8 @@ from .forms import (
     MultiaffineMap,
     MultilinearMap,
     Shape,
+    code_to_vec,
+    compose_output,
     digit_matrix,
     scalar_table,
     top_part,
@@ -187,6 +189,35 @@ def _slice_histogram(f: Map) -> ValueHistogram:
     np.add.at(counts, last[:, n_a], more)
     counts += (B * p ** N - int(more.sum())) // p
     return ValueHistogram(p, tuple(counts.tolist()), B * p ** N)
+
+
+def level_set_count(f: Map, value) -> int:
+    """|{x : f(x) = value}| for a map f into F_p^m, counted from the slice
+    histograms H_s of the scalar maps s.f (`_slice_histogram`), s in F_p^m;
+    no point of the domain is enumerated.
+
+    Summing chi(s.(f(x) - v)) over x and s gives p^m times the count, and
+    equals sum_u A_u w^u with A_u = sum_s H_s(u + s.v), w = e^(2 pi i/p).  The
+    count is rational, so A_1 = ... = A_(p-1) and the count is
+    (A_0 - A_1) / p^m; both facts are checked.  H_0 is |G| at 0.  The guard
+    is on the p^m histograms, and each keeps its slice-stack guard."""
+    shape = f.shape
+    p, m = shape.p, f.m
+    v = [int(t) % p for t in value]
+    if len(v) != m:
+        raise ValueError(f"level value must have length {m}")
+    Shape.guard(p ** m, "level set characters")
+    A = [shape.domain_size] + [0] * (p - 1)
+    for code in range(1, p ** m):
+        s = code_to_vec(p, m, code)
+        shift = sum(a * b for a, b in zip(s, v)) % p
+        counts = _slice_histogram(compose_output(f, np.array(s)[:, None])).counts
+        for u in range(p):
+            A[u] += counts[(u + shift) % p]
+    diff = A[0] - A[1]
+    if any(a != A[1] for a in A[2:]) or diff % p ** m:
+        raise LemmaViolationError(f"character sums {A} of a level set are not p^{m} times a count")
+    return diff // p ** m
 
 
 def bias(f: Map) -> complex:

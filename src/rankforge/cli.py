@@ -60,6 +60,17 @@ SCATTER_COLUMNS = [
 ]
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type of counts, rank caps and budgets: a negative value exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _frac(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
@@ -369,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command(sub, "prank", cmd_prank, "exact partition rank with witness", summary=True)
     sp.add_argument("--map", required=True)
-    sp.add_argument("--rmax", type=int, default=6)
-    sp.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
+    sp.add_argument("--rmax", type=_nonnegative_int, default=6)
+    sp.add_argument("--budget-nodes", type=_nonnegative_int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
 
     sp = command(sub, "boxnorm", cmd_boxnorm, "Gowers box norm of chi composed with a map", summary=True)
     sp.add_argument("--map", required=True)
@@ -399,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command(sub, "arrange", cmd_arrange, "randomized arrangement identity suites")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=50)
+    sp.add_argument("--count", type=_nonnegative_int, default=50)
 
     sp = command(sub, "polarize", cmd_polarize, "symmetric form of a polynomial")
     sp.add_argument("--poly", required=True)
@@ -408,11 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--dims", required=True, help="comma-separated dimensions")
     ensemble = sp.add_mutually_exclusive_group()
-    ensemble.add_argument("--count", type=int, default="0")
+    ensemble.add_argument("--count", type=_nonnegative_int, default="0")
     ensemble.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--rmax", type=int, default=6)
-    sp.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
+    sp.add_argument("--rmax", type=_nonnegative_int, default=6)
+    sp.add_argument("--budget-nodes", type=_nonnegative_int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
     return ap

@@ -4,6 +4,10 @@ coordinate-change graph, the quasirandomness-implies-connectivity check, the
 dot-product solvability criterion, and homogenization of a variety inside the
 zero set of a multilinear map.
 
+Densities are counted from the slice histograms of the p^m scalar maps s.f
+(`analytic.level_set_count`), so no point is enumerated; the membership grid
+`Variety.table()` is their test oracle and serves every other routine here.
+
 The coordinate-change graph on G_[k] joins two points iff they differ in
 exactly one coordinate.  BFS over it is run implicitly on boolean grids: one
 expansion step is an OR-reduction along each coordinate axis, so a level
@@ -19,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .analytic import exact_bias
+from .analytic import exact_bias, level_set_count
 from .errors import LemmaViolationError
 from .forms import (
     Map,
@@ -107,7 +111,9 @@ class LayerFamily:
 
 
 def density(V: Variety) -> Fraction:
-    return Fraction(V.size(), V.shape.domain_size)
+    """|V| / |G|, with |V| counted from slice histograms (`level_set_count`);
+    the enumerated `V.size()` is its test oracle."""
+    return Fraction(level_set_count(V.defining_map, V.value), V.shape.domain_size)
 
 
 @dataclass(frozen=True)
@@ -398,8 +404,10 @@ def nonzero_conn_check(rho: MultilinearMap, gammas) -> ConnectivityReport:
     most (2k+1)(2^k - 1).
 
     `gammas` is a sequence of (index_set, MultilinearMap on G_I) pairs.  The
-    hypothesis side is decided with exact rationals; the conclusion uses BFS
-    with a certified diameter bound.  A certified violation raises.
+    hypothesis side is decided with exact rationals, one exact bias per lam
+    in F_p^r (r the number of full-support gammas; p^r is guarded); the
+    conclusion uses BFS with a certified diameter bound.  A certified
+    violation raises.
     """
     if not rho.scalar:
         raise ValueError("rho must be a scalar form")
@@ -418,6 +426,7 @@ def nonzero_conn_check(rho: MultilinearMap, gammas) -> ConnectivityReport:
 
     full = frozenset(range(1, k + 1))
     full_coeffs = [g.coeffs for I, g in gammas if I == full]
+    Shape.guard(p ** len(full_coeffs), "twisted biases")
     max_bias = Fraction(0)
     for code in range(p ** len(full_coeffs)):
         lams = code_to_vec(p, len(full_coeffs), code)

@@ -180,14 +180,30 @@ def test_malformed_input_exit_2(tmp_path, capsys):
 
 
 def test_resource_guard_exit_3(tmp_path, capsys):
-    # variety density enumerates the domain: 2^24 points exceed the default guard
-    sh = Shape(2, (12, 12))
-    f = MultiaffineMap(sh, 1, {frozenset(): np.ones(1, dtype=np.int64)})
-    assert main(["variety", "density", "--map", write_map(tmp_path, f)]) == 3
-    # arank's slice stack: 2^20 slices of 20 x 20 exceed it too
+    # arank's and variety density's slice stack: 2^20 slices of 20 x 20 exceed the default guard
     g = MultiaffineMap(Shape(2, (20, 20, 20)), 1, {frozenset(): np.ones(1, dtype=np.int64)})
     assert main(["arank", "--map", write_map(tmp_path, g)]) == 3
     assert "slice stack" in capsys.readouterr().err
+    assert main(["variety", "density", "--map", write_map(tmp_path, g)]) == 3
+    assert "slice stack" in capsys.readouterr().err
+    # a density of codimension 23 over F_2 needs 2^23 character sums
+    h = MultiaffineMap(Shape(2, (1,)), 23, {frozenset(): np.ones(23, dtype=np.int64)})
+    assert main(["variety", "density", "--map", write_map(tmp_path, h)]) == 3
+    assert "level set characters" in capsys.readouterr().err
+
+
+def test_density_past_enumeration_guard(tmp_path, capsys):
+    # the constant map 1 on (2,(12,12)), 2^24 points, has an empty zero set and a
+    # full layer 1; both are counted from one 12 x 12 slice
+    f = MultiaffineMap(Shape(2, (12, 12)), 1, {frozenset(): np.ones(1, dtype=np.int64)})
+    path = write_map(tmp_path, f)
+    code, out = run(capsys, ["variety", "density", "--map", path])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["density"] == {"num": 0, "den": 1}
+    assert not payload["nonempty"] and payload["ok"]
+    code, out = run(capsys, ["variety", "density", "--map", path, "--layer", "1"])
+    assert code == 0 and json.loads(out)["density"] == {"num": 1, "den": 1}
 
 
 def test_multiaffine_arank_past_enumeration_guard(tmp_path, capsys):
@@ -419,9 +435,9 @@ def mutated(draw, originals):
 
 
 def _fuzz_dir(tmp_path_factory):
-    d = tmp_path_factory.getbasetemp() / "fuzz"
-    d.mkdir(exist_ok=True)
-    return d
+    # a new directory per example: rewriting a file written moments before can
+    # wait for a disk flush, while creating a new one does not
+    return tmp_path_factory.mktemp("fuzz")
 
 
 @settings(max_examples=100, deadline=None)
@@ -508,6 +524,22 @@ def _cli_files(d):
 def test_ignored_option_exits_2(tmp_path, valid, argv):
     _cli_files(tmp_path)
     assert _exit_code(valid, tmp_path) == 0
+    assert _exit_code(argv, tmp_path) == 2
+
+
+NEGATIVE_COUNTS = [
+    ["arrange", "--count", "-3"],
+    ["prank", *MAP_FILE, "--rmax", "-2"],
+    ["prank", *MAP_FILE, "--budget-nodes", "-5"],
+    ["scatter", "--p", "2", "--dims", "2,2", "--count", "-4"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_COUNTS, ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_negative_count_exits_2(tmp_path, argv):
+    # counts, rank caps and budgets are non-negative integers; 0 is one
+    _cli_files(tmp_path)
+    assert _exit_code(argv[:-1] + ["0"], tmp_path) == 0
     assert _exit_code(argv, tmp_path) == 2
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankforge import forms
 from rankforge.field import PrimeField
 from rankforge.forms import (
     MultiaffineMap,
@@ -326,3 +328,20 @@ def test_scalar_table_row_major_order():
     assert t[0, 0] == 0
     # x=(1,0) has code 1, y=(1,1) has code 3
     assert t[1, 3] == f.evaluate([(1, 0), (1, 1)])[0]
+
+
+def test_tables_over_the_cache_bound_are_not_kept(monkeypatch):
+    # a (2,(22,)) value table once left its 738 MB digit matrix resident after the
+    # table was freed; a lowered bound shows the same on a (2,(13,)) form
+    monkeypatch.setattr(forms, "TABLE_CACHE_ENTRIES", 1 << 12)
+    assert forms.digit_matrix(2, 5) is forms.digit_matrix(2, 5)  # 160 entries, kept
+    assert forms.addition_table(2, 5) is forms.addition_table(2, 5)  # 1024 entries, kept
+    f = random_multilinear(Shape(2, (13,)), 1, 0)  # digit matrix of 106,496 entries
+    tracemalloc.start()
+    try:
+        forms.value_table(f)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000
+    assert forms.digit_matrix(2, 13) is not forms.digit_matrix(2, 13)

@@ -48,13 +48,17 @@ CASES = {
     "Variety.size": (128, lambda: VARIETY.size()),
     "LayerFamily.layer_tables": (128, lambda: list(LAYERS.layer_tables())),
     "LayerFamily.union_table": (128, lambda: LAYERS.union_table()),
-    "density": (128, lambda: varieties.density(VARIETY)),
-    "density_bound_check": (128, lambda: varieties.density_bound_check(VARIETY)),
+    # p^m = 4 character sums for VARIETY, each over a 24-entry slice stack
+    "level_set_count": (4, lambda: analytic.level_set_count(VARIETY.defining_map, (0, 0))),
+    "density": (24, lambda: varieties.density(VARIETY)),
+    "density_bound_check": (24, lambda: varieties.density_bound_check(VARIETY)),
     "bohr_external": (128, lambda: varieties.bohr_external(AFFINE, 1, [40, 3])),
     "bohr_external_sim": (128, lambda: varieties.bohr_external_sim([AFFINE], 1, [40, 4])),
     "approximation_error": (128, lambda: varieties.approximation_error(
         LAYERS, np.ones(SHAPE.sizes, dtype=bool), "external")),
     "multilinearize_variety": (128, lambda: varieties.multilinearize_variety(VARIETY, VARIETY.defining_map)),
+    # p^r = 8 twisted biases for three full-support gammas
+    "nonzero_conn_check": (8, lambda: varieties.nonzero_conn_check(FORM, [((1, 2, 3), FORM)] * 3)),
 }
 
 

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankforge.varieties as V
-from rankforge import linalg
-from rankforge.errors import DomainSizeError
+from rankforge import analytic, linalg
+from rankforge.analytic import level_set_count
+from rankforge.errors import DomainSizeError, LemmaViolationError
 from rankforge.forms import (
     MultiaffineMap,
     MultilinearMap,
@@ -65,6 +66,32 @@ def test_density_examples():
     empty = Variety(MultiaffineMap(sh, 1, {}), (1,))
     rep = density_bound_check(empty)
     assert rep.density == 0 and rep.ok
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_level_set_count_matches_enumerated_table(p, m):
+    # the counted route against the enumerated membership grid, on multilinear
+    # and multiaffine maps of arity 1 to 3 and random layers (zero included)
+    rng = np.random.default_rng([44, p, m])
+    for trial in range(12):
+        k = 1 + trial % 3
+        dims = tuple(int(n) for n in rng.integers(1, 4 if p < 5 else 3, size=k))
+        make = random_multilinear if trial % 2 else random_multiaffine
+        f = make(Shape(p, dims), m, [44, p, m, trial])
+        value = tuple(int(t) for t in rng.integers(0, p, size=m)) if trial % 4 else (0,) * m
+        assert level_set_count(f, value) == int(Variety(f, value).table().sum())
+
+
+def test_level_set_count_checks_its_character_sums(monkeypatch):
+    # every s.f on the 9 points of (3,(2,)) said to take the value 1 only: then
+    # A_1 != A_2, which no level set gives
+    f = random_multiaffine(Shape(3, (2,)), 1, [44, 0])
+    monkeypatch.setattr(analytic, "_slice_histogram", lambda g: analytic.ValueHistogram(3, (0, 9, 0), 9))
+    with pytest.raises(LemmaViolationError):
+        level_set_count(f, (0,))
+    with pytest.raises(ValueError):
+        level_set_count(f, (0, 0))
 
 
 def test_density_bound_random_nonempty():
