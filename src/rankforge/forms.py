@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product as iproduct
 
 import numpy as np
@@ -20,9 +21,7 @@ from .field import is_prime
 
 MAX_DOMAIN_BITS = 63
 DEFAULT_ENUM_GUARD = 1 << 22
-TABLE_CACHE_ENTRIES = 1 << 22  # int64 entries (32 MB) of digit and addition tables kept for reuse
-
-_kept_tables: dict = {}  # key -> read-only table, least recently used first
+TABLE_CACHE_ENTRIES = 1 << 22  # int64 entries (32 MB) of the largest digit or addition table kept for reuse
 
 
 @dataclass(frozen=True)
@@ -78,45 +77,40 @@ class Shape:
             raise DomainSizeError(needed, limit, what, constant)
 
 
-def _kept_table(key: tuple, build) -> np.ndarray:
-    """The read-only table `build()`, kept for reuse under `key` while all kept
-    tables hold at most TABLE_CACHE_ENTRIES entries, the least recently used
-    dropped first.  A larger table is built on every call and never kept."""
-    table = _kept_tables.pop(key, None)
-    if table is None:
-        table = build()
-        table.setflags(write=False)
-    if table.size > TABLE_CACHE_ENTRIES:
-        return table
-    while sum(t.size for t in _kept_tables.values()) + table.size > TABLE_CACHE_ENTRIES:
-        del _kept_tables[next(iter(_kept_tables))]
-    _kept_tables[key] = table  # most recently used last
-    return table
+@lru_cache(maxsize=None)
+def _digit_matrix(p: int, n: int) -> np.ndarray:
+    codes = np.arange(p ** n, dtype=np.int64)
+    M = np.empty((p ** n, n), dtype=np.int64)
+    for j in range(n):
+        M[:, j] = (codes // p ** j) % p
+    M.setflags(write=False)
+    return M
 
 
 def digit_matrix(p: int, n: int) -> np.ndarray:
-    """(p^n, n) matrix whose row c holds the base-p digits of code c."""
+    """(p^n, n) matrix whose row c holds the base-p digits of code c; kept
+    for reuse unless it has more than TABLE_CACHE_ENTRIES entries."""
+    if p ** n * n > TABLE_CACHE_ENTRIES:
+        return _digit_matrix.__wrapped__(p, n)
+    return _digit_matrix(p, n)
 
-    def build():
-        codes = np.arange(p ** n, dtype=np.int64)
-        M = np.empty((p ** n, n), dtype=np.int64)
-        for j in range(n):
-            M[:, j] = (codes // p ** j) % p
-        return M
 
-    return _kept_table(("digits", p, n), build)
+@lru_cache(maxsize=None)
+def _addition_table(p: int, n: int) -> np.ndarray:
+    D = digit_matrix(p, n)
+    weights = p ** np.arange(n, dtype=np.int64)
+    S = (D[:, None, :] + D[None, :, :]) % p
+    T = (S * weights).sum(axis=-1)
+    T.setflags(write=False)
+    return T
 
 
 def addition_table(p: int, n: int) -> np.ndarray:
-    """(p^n, p^n) table of codes: entry [a, b] encodes vec(a) + vec(b)."""
-
-    def build():
-        D = digit_matrix(p, n)
-        weights = p ** np.arange(n, dtype=np.int64)
-        S = (D[:, None, :] + D[None, :, :]) % p
-        return (S * weights).sum(axis=-1)
-
-    return _kept_table(("sums", p, n), build)
+    """(p^n, p^n) table of codes: entry [a, b] encodes vec(a) + vec(b); kept
+    for reuse unless it has more than TABLE_CACHE_ENTRIES entries."""
+    if p ** (2 * n) > TABLE_CACHE_ENTRIES:
+        return _addition_table.__wrapped__(p, n)
+    return _addition_table(p, n)
 
 
 def code_to_vec(p: int, n: int, code: int) -> tuple[int, ...]:

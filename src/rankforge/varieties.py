@@ -4,9 +4,11 @@ coordinate-change graph, the quasirandomness-implies-connectivity check, the
 dot-product solvability criterion, and homogenization of a variety inside the
 zero set of a multilinear map.
 
-Densities are counted from the slice histograms of the p^m scalar maps s.f
-(`analytic.level_set_count`), so no point is enumerated; the membership grid
-`Variety.table()` is their test oracle and serves every other routine here.
+Densities of large domains are counted from the slice histograms of the
+scalar maps s.f (`analytic.level_set_count`), so no point is enumerated;
+small domains and high codimensions are enumerated, whichever is cheaper.
+The membership grid `Variety.table()` is the counted route's test oracle and
+serves every other routine here.
 
 The coordinate-change graph on G_[k] joins two points iff they differ in
 exactly one coordinate.  BFS over it is run implicitly on boolean grids: one
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from . import forms, linalg
 from .analytic import exact_bias, level_set_count
 from .errors import LemmaViolationError
 from .forms import (
@@ -43,6 +45,7 @@ TRAVERSAL_GUARD = 1 << 21
 EXTRA_SWEEPS = 2                       # eccentricity samples after the double sweep
 EXACT_DIAMETER_WORK_CAP = 30_000_000   # uint64 word operations per BFS level
 BFS_STATE_WORDS = 1 << 21              # words in one bit-parallel state array (16 MB)
+HISTOGRAM_POINTS = 1 << 11             # enumerated points that take about as long as one slice histogram
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +114,18 @@ class LayerFamily:
 
 
 def density(V: Variety) -> Fraction:
-    """|V| / |G|, with |V| counted from slice histograms (`level_set_count`);
-    the enumerated `V.size()` is its test oracle."""
-    return Fraction(level_set_count(V.defining_map, V.value), V.shape.domain_size)
+    """|V| / |G|.  |V| is counted from (p^m - 1)/(p - 1) slice histograms
+    (`level_set_count`) when that is cheaper than enumerating the |G| points,
+    at HISTOGRAM_POINTS points per histogram, or when the value table would
+    be refused; otherwise it is enumerated (`V.size()`, also the counted
+    route's test oracle).  Where the table is admitted, counting is chosen
+    only if p^m, p and every slice stack are at most |G|, so it refuses no
+    input that enumeration answers."""
+    shape, p = V.shape, V.shape.p
+    histograms = (p ** V.codim - 1) // (p - 1)
+    if histograms * HISTOGRAM_POINTS > shape.domain_size and shape.domain_size <= forms.DEFAULT_ENUM_GUARD:
+        return Fraction(V.size(), shape.domain_size)
+    return Fraction(level_set_count(V.defining_map, V.value), shape.domain_size)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankforge import __version__
 from rankforge.analytic import box_norm, chi_table, exact_bias
 from rankforge.cli import main
 from rankforge.forms import (
@@ -186,10 +187,21 @@ def test_resource_guard_exit_3(tmp_path, capsys):
     assert "slice stack" in capsys.readouterr().err
     assert main(["variety", "density", "--map", write_map(tmp_path, g)]) == 3
     assert "slice stack" in capsys.readouterr().err
-    # a density of codimension 23 over F_2 needs 2^23 character sums
-    h = MultiaffineMap(Shape(2, (1,)), 23, {frozenset(): np.ones(23, dtype=np.int64)})
+    # codimension 23 on 2^23 points: both the value table and the 2^23
+    # character sums exceed it
+    h = MultiaffineMap(Shape(2, (23,)), 23, {frozenset(): np.ones(23, dtype=np.int64)})
     assert main(["variety", "density", "--map", write_map(tmp_path, h)]) == 3
     assert "level set characters" in capsys.readouterr().err
+
+
+def test_density_of_high_codimension_on_small_domain(tmp_path, capsys):
+    # codimension 23 on 2 points: 2^23 character sums would exceed the guard,
+    # so the two points are enumerated, as they always were
+    h = MultiaffineMap(Shape(2, (1,)), 23, {frozenset(): np.ones(23, dtype=np.int64)})
+    code, out = run(capsys, ["variety", "density", "--map", write_map(tmp_path, h)])
+    assert code == 0
+    assert json.loads(out) == {"bound": {"num": 1, "den": 2 ** 23}, "density": {"num": 0, "den": 1},
+                               "nonempty": False, "ok": True, "version": __version__}
 
 
 def test_density_past_enumeration_guard(tmp_path, capsys):
