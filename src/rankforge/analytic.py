@@ -197,33 +197,29 @@ def level_set_count(f: Map, value) -> int:
     no point of the domain is enumerated.
 
     Summing chi(s.(f(x) - v)) over x and s gives p^m times the count, and
-    equals sum_u A_u w^u with A_u = sum_s H_s(u + s.v), w = e^(2 pi i/p).  The
-    count is rational, so A_1 = ... = A_(p-1) and the count is
-    (A_0 - A_1) / p^m; both facts are checked.  H_0 is |G| at 0, and
-    H_(c s)(t) = H_s(t / c), so one histogram per line through 0 (s with
-    first nonzero entry 1) gives all p^m; summed this way the A_u with u != 0
-    agree by construction, and the divisibility by p^m is the check that can
-    fail (for m >= 2).  The guard is on the p^m character sums, and each
-    histogram keeps its slice-stack guard."""
+    equals sum_u A_u w^u with A_u = sum_s H_s(u + s.v), w = e^(2 pi i/p);
+    H_0 is |G| at 0.  Since H_(c s)(t) = H_s(t / c), one histogram per line
+    through 0 (s with first nonzero entry 1) gives all p^m: the line adds
+    (p - 1) H_s(s.v) to A_0 and |G| - H_s(s.v) to every other A_u, so
+    A_1 = ... = A_(p-1) and the count is
+    (A_0 - A_1) / p^m = (|G| + sum over lines of (p H_s(s.v) - |G|)) / p^m.
+    That p^m divides it and the count lies in [0, |G|] are checked.  The
+    guard is on the p^m character sums, and each histogram keeps its
+    slice-stack guard."""
     shape = f.shape
-    p, m = shape.p, f.m
+    p, m, total = shape.p, f.m, shape.domain_size
     v = [int(t) % p for t in value]
     if len(v) != m:
         raise ValueError(f"level value must have length {m}")
     Shape.guard(p ** m, "level set characters")
-    inverses = [pow(c, -1, p) for c in range(1, p)]
-    A = [shape.domain_size] + [0] * (p - 1)
+    diff = total  # A_0 - A_1
     for lead in range(m):
         for rest in range(p ** (m - 1 - lead)):
             s = (0,) * lead + (1,) + code_to_vec(p, m - 1 - lead, rest)
-            shift = sum(a * b for a, b in zip(s, v)) % p
             counts = _slice_histogram(compose_output(f, np.array(s)[:, None])).counts
-            for c_inv in inverses:  # H_(c s)(u + c s.v) = H_s(u / c + s.v)
-                for u in range(p):
-                    A[u] += counts[(c_inv * u + shift) % p]
-    diff = A[0] - A[1]
-    if any(a != A[1] for a in A[2:]) or diff % p ** m:
-        raise LemmaViolationError(f"character sums {A} of a level set are not p^{m} times a count")
+            diff += p * counts[sum(a * b for a, b in zip(s, v)) % p] - total
+    if diff % p ** m or not 0 <= diff <= p ** m * total:
+        raise LemmaViolationError(f"character sum difference {diff} of a level set is not p^{m} times a count")
     return diff // p ** m
 
 
