@@ -345,3 +345,4 @@ def test_tables_over_the_cache_bound_are_not_kept(monkeypatch):
         tracemalloc.stop()
     assert held < 100_000
     assert forms.digit_matrix(2, 13) is not forms.digit_matrix(2, 13)
+    assert forms.addition_table(2, 7) is not forms.addition_table(2, 7)  # 16,384 entries

@@ -84,11 +84,11 @@ def test_level_set_count_matches_enumerated_table(p, m):
 
 
 def test_level_set_count_checks_its_character_sums(monkeypatch):
-    # every s.f on the 9 points of (3,(2,)) said to take the value 0 once and 1
-    # eight times: then A_0 - A_1 = 9 + 4 (3 - 9) = -15 over the 4 lines of
-    # F_3^2, not a multiple of 3^2, which no level set gives
+    # every s.f on the 9 points of (3,(2,)) said to take the value 0 four times:
+    # then A_0 - A_1 = 9 + 4 (12 - 9) = 21 over the 4 lines of F_3^2, not a
+    # multiple of 3^2, which no level set gives
     f = random_multiaffine(Shape(3, (2,)), 2, [44, 0])
-    monkeypatch.setattr(analytic, "_slice_histogram", lambda g: analytic.ValueHistogram(3, (1, 8, 0), 9))
+    monkeypatch.setattr(analytic, "_slice_histogram", lambda g: analytic.ValueHistogram(3, (4, 5, 0), 9))
     with pytest.raises(LemmaViolationError):
         level_set_count(f, (0, 0))
     # never the value 0: 9 + 4 (0 - 9) = -27 is a multiple of 3^2 but no count
