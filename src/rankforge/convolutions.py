@@ -4,10 +4,19 @@ and the exact Cauchy-Schwarz chain of averages.
 Indicator inputs stay exact: a table is stored as an integer numerator grid
 with one common denominator, and convolving multiplies the denominator by
 |G_i| times itself.  Complex tables take the floating path.
+
+Every exact convolution and arrangement table is one autocorrelation
+R(a) = sum_b f(a + b) f(b) along one axis (`_autocorrelate`).  Over F_2 the
+codes add by XOR, so the Walsh-Hadamard transform H diagonalizes it and
+H((Hf)^2) = |G_i| R, computed exactly in int64 with |G| * 2 log2 |G_i|
+additions while |G_i|^2 max|f|^2 < 2^63.  Otherwise (p > 2, or past that
+bound) the sum is gathered through the addition table, |G| * |G_i| products,
+and refused with OverflowError when |G_i| max|f|^2 reaches 2^63.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +34,7 @@ from .forms import (
 
 CONV_GUARD = 1 << 24       # |G| * |G_i| work guard per convolution
 DEN_GUARD = 1 << 62        # exact denominators must stay below this
+INT64_BOUND = 1 << 63      # exact int64 sums stay strictly below this
 
 
 @dataclass(frozen=True)
@@ -58,7 +68,10 @@ class DomainTable:
 
     def mean(self) -> Fraction | complex:
         if self.exact:
-            return Fraction(int(self.num.sum()), self.den * self.shape.domain_size)
+            size = self.shape.domain_size
+            # the int64 sum is exact below 2^63; past it sum Python integers
+            dtype = np.int64 if size * _max_abs(self.num) < INT64_BOUND else object
+            return Fraction(int(self.num.sum(dtype=dtype)), self.den * size)
         return complex(self.cvals.mean())
 
     def to_complex(self) -> np.ndarray:
@@ -85,23 +98,79 @@ def zero_set_indicator(f: Map) -> DomainTable:
     return DomainTable(f.shape, num=member.astype(np.int64), den=1)
 
 
+def _max_abs(num: np.ndarray) -> int:
+    """max |num| as a Python integer (np.abs wraps at -2^63)."""
+    return max(int(num.max()), -int(num.min()))
+
+
+def _hadamard(h: np.ndarray, spare: np.ndarray, axis: int, n: int) -> None:
+    """Unnormalized Walsh-Hadamard transform of h along `axis` (length 2^n),
+    in place.  h and spare are C-contiguous int64 arrays of one shape; the n
+    butterflies, one per bit of the code, alternate between them, so spare is
+    overwritten.  Separate buffers keep numpy's overlap checks cheap."""
+    outer = math.prod(h.shape[:axis])
+    inner = math.prod(h.shape[axis + 1 :])
+    src, dst = h, spare
+    for j in range(n):
+        pairs = src.reshape(outer << (n - 1 - j), 2, inner << j)  # views
+        out = dst.reshape(pairs.shape)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+        src, dst = dst, src
+    if src is not h:
+        np.copyto(h, src)
+
+
+def _autocorrelate(num: np.ndarray, axis: int, p: int, n: int) -> np.ndarray:
+    """R[.., a, ..] = sum_b num[.., a + b, ..] * num[.., b, ..] along `axis`,
+    where codes add in F_p^n; exact in int64.
+
+    At p = 2 this is R = H((H num)^2) / 2^n with H the Walsh-Hadamard
+    transform, taken while 4^n M^2 < 2^63 (M = max|num|): by Parseval every
+    intermediate is at most 2^n sum_b num(b)^2 <= 4^n M^2.  That 2^n divides
+    every entry of H((H num)^2) is checked at run time.  Otherwise the sum is
+    gathered through the addition table, exact while p^n M^2 < 2^63."""
+    size = p ** n
+    M = _max_abs(num)
+    if p == 2 and size * size * M * M < INT64_BOUND:
+        h = np.array(num, dtype=np.int64, order="C")
+        spare = np.empty_like(h)
+        _hadamard(h, spare, axis, n)
+        np.multiply(h, h, out=h)
+        _hadamard(h, spare, axis, n)
+        if np.bitwise_and(h, size - 1, out=spare).any():
+            raise LemmaViolationError(
+                f"Hadamard transform of a squared spectrum is not divisible by {size}"
+            )
+        h >>= n
+        return h
+    if size * M * M >= INT64_BOUND:
+        raise OverflowError("exact convolution sums exceed the 64-bit guard")
+    shifted = np.take(num, addition_table(p, n), axis=axis)  # axes (..., a, b, ...)
+    second = np.expand_dims(num, axis=axis)                  # broadcast over a
+    return (shifted * second).sum(axis=axis + 1)
+
+
 def conv_dir(t: DomainTable, i: int) -> DomainTable:
-    """Convolution in direction i: averages f(.., y + x_i, ..) conj f(.., y, ..) over y."""
+    """Convolution in direction i: averages f(.., y + x_i, ..) conj f(.., y, ..) over y.
+
+    An exact table's numerator is `_autocorrelate`d (a Walsh-Hadamard
+    transform at p = 2 while its int64 bound holds, the addition-table gather
+    otherwise) over the denominator den^2 |G_i|; a complex table is gathered.
+    CONV_GUARD bounds |G| * |G_i| on every route."""
     shape = t.shape
     if not 1 <= i <= shape.k:
         raise ValueError(f"direction {i} out of range for k={shape.k}")
     size = shape.sizes[i - 1]
     Shape.guard(shape.domain_size * size, "directional convolution", CONV_GUARD, "convolutions.CONV_GUARD")
-    add = addition_table(shape.p, shape.dims[i - 1])
     ax = i - 1
     if t.exact:
         new_den = t.den * t.den * size
         if new_den > DEN_GUARD:
             raise OverflowError("exact denominator exceeds the 64-bit guard")
-        shifted = np.take(t.num, add, axis=ax)       # axes (..., a, b, ...)
-        second = np.expand_dims(t.num, axis=ax)      # broadcast over a
-        num = (shifted * second).sum(axis=ax + 1)
+        num = _autocorrelate(t.num, ax, shape.p, shape.dims[ax])
         return DomainTable(shape, num=num, den=new_den)
+    add = addition_table(shape.p, shape.dims[ax])
     shifted = np.take(t.cvals, add, axis=ax)
     second = np.conj(np.expand_dims(t.cvals, axis=ax))
     cvals = (shifted * second).mean(axis=ax + 1)
@@ -154,12 +223,7 @@ def arrangement_count_tables(shape: Shape, member: np.ndarray, i: int) -> list[n
         raise OverflowError("arrangement counts exceed the 64-bit guard")
     tables = [member.astype(np.int64)]
     for lvl in range(1, i + 1):
-        prev = tables[-1]
-        ax = lvl - 1
-        add = addition_table(shape.p, shape.dims[ax])
-        shifted = np.take(prev, add, axis=ax)
-        second = np.expand_dims(prev, axis=ax)
-        tables.append((shifted * second).sum(axis=ax + 1))
+        tables.append(_autocorrelate(tables[-1], lvl - 1, shape.p, shape.dims[lvl - 1]))
     return tables
 
 

@@ -253,6 +253,19 @@ def test_count_overflow_exit_3(tmp_path, capsys):
     assert main(["conv", "--map", path, "--chain", "1,1,1,1,1,1"]) == 3
 
 
+def test_conv_mean_past_int64(tmp_path, capsys):
+    # the chain of the zero map on (2,(2,2,2,2,2)) ends at den = 2^62 with every
+    # value 1, so the numerators of the mean sum to 2^72
+    sh = Shape(2, (2, 2, 2, 2, 2))
+    f = MultilinearMap(sh, 1, np.zeros((2,) * 5 + (1,), dtype=np.int64))
+    code, out = run(capsys, ["conv", "--map", write_map(tmp_path, f), "--histogram"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["den"] == 1 << 62
+    assert payload["mean"] == {"num": 1, "den": 1}
+    assert payload["histogram"] == [{"value": {"num": 1, "den": 1}, "count": 1024}]
+
+
 GOOD_MAP = {"p": 2, "dims": [2, 2], "target_dim": 1,
             "parts": [{"subset": [1, 2], "coeffs": [1, 0, 0, 1]}]}
 

@@ -4,8 +4,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+from rankforge import convolutions
 from rankforge.convolutions import (
     Arrangement,
+    DomainTable,
+    arrangement_count_tables,
     arrangement_identity_check,
     conv_chain,
     conv_dir,
@@ -21,7 +24,7 @@ from rankforge.convolutions import (
     vanishing_propagation_check,
     zero_set_indicator,
 )
-from rankforge.errors import DomainSizeError
+from rankforge.errors import DomainSizeError, LemmaViolationError
 from rankforge.forms import (
     MultiaffineMap,
     MultilinearMap,
@@ -58,6 +61,99 @@ def brute_arrangements(shape, i, lengths):
         return out
 
     return rec(i, list(lengths))
+
+
+def gather_conv(t, i):
+    """Oracle for exact conv_dir: sum_b num(a + b) num(b) gathered through the
+    addition table in Python integers, over the denominator den^2 |G_i|."""
+    sh, ax = t.shape, i - 1
+    num = t.num.astype(object)
+    shifted = np.take(num, addition_table(sh.p, sh.dims[ax]), axis=ax)
+    out = (shifted * np.expand_dims(num, axis=ax)).sum(axis=ax + 1)
+    return out, t.den * t.den * sh.sizes[ax]
+
+
+def random_p2_table(rng, signed):
+    k = int(rng.integers(1, 5))
+    sh = Shape(2, tuple(int(rng.integers(1, 5)) for _ in range(k)))
+    while sh.domain_size > 1 << 10:
+        sh = Shape(2, sh.dims[:-1])
+    if signed:
+        num = rng.integers(-9, 10, sh.sizes)
+    else:
+        num = (rng.random(sh.sizes) < rng.uniform(0.1, 0.9)).astype(np.int64)
+    return DomainTable(sh, num=num.astype(np.int64), den=1)
+
+
+def test_exact_conv_matches_gather_oracle():
+    # every direction of random p = 2 tables, and chains that repeat directions
+    checked = 0
+    for seed in range(120):
+        rng = np.random.default_rng([73, seed])
+        t = random_p2_table(rng, signed=seed % 2)
+        dirs = list(range(1, t.shape.k + 1)) + [int(d) for d in rng.integers(1, t.shape.k + 1, 3)]
+        for i in dirs:
+            want, den = gather_conv(t, i)
+            M = max(abs(int(v)) for v in t.num.flat)
+            try:
+                t = conv_dir(t, i)
+            except OverflowError:
+                # refused only past a 64-bit bound of the denominator or the sums
+                assert den > 1 << 62 or t.shape.sizes[i - 1] * M * M >= 1 << 63
+                break
+            assert t.den == den and t.num.dtype == np.int64
+            assert t.num.tolist() == want.tolist()
+            checked += 1
+    assert checked > 400
+
+
+def test_conv_past_the_transform_bound_takes_the_gather():
+    # the full set of (2,(2,2,2,2,2)): step 5 has M = den = 2^30 and |G_5| = 4,
+    # so 4^2 M^2 = 2^64 is past the int64 bound of the transform
+    sh = Shape(2, (2, 2, 2, 2, 2))
+    t = indicator_table(sh, np.ones(sh.sizes, dtype=bool))
+    for i in range(1, 6):
+        want, den = gather_conv(t, i)
+        t = conv_dir(t, i)
+        assert t.den == den and t.num.tolist() == want.tolist()
+        assert (t.num == t.den).all()
+    assert t.den == 1 << 62
+    assert t.mean() == 1          # the int64 sum of 1024 * 2^62 wraps
+    rep = cs_chain_check(sh, np.ones(sh.sizes, dtype=bool))
+    assert rep.chain_means == (1,) * 6 and rep.final == rep.lower == 1
+
+
+def test_conv_int64_bounds():
+    sh = Shape(2, (1,))
+    # the transform bound 4 M^2 < 2^63 holds at M = 2^30
+    out = conv_dir(DomainTable(sh, num=np.array([1 << 30, 3]), den=1), 1)
+    assert out.num.tolist() == [(1 << 60) + 9, 6 << 30] and out.den == 2
+    # 4 M^2 >= 2^63 > 2 M^2 at M = 3 * 2^29: the gather is still exact
+    m = 3 << 29
+    out = conv_dir(DomainTable(sh, num=np.array([m, 1]), den=1), 1)
+    assert out.num.tolist() == [m * m + 1, 2 * m]
+    # 2 M^2 >= 2^63: the gather would wrap, so the sum is refused
+    with pytest.raises(OverflowError):
+        conv_dir(DomainTable(sh, num=np.array([1 << 40, 3]), den=1), 1)
+    with pytest.raises(OverflowError):
+        conv_dir(DomainTable(Shape(3, (1,)), num=np.array([1 << 31, 0, 0]), den=1), 1)
+
+
+def test_conv_checks_the_hadamard_divisibility(monkeypatch):
+    # no input reaches the check, so the second transform is skewed by one
+    real = convolutions._hadamard
+    calls = []
+
+    def skewed(h, spare, axis, n):
+        real(h, spare, axis, n)
+        calls.append(axis)
+        if len(calls) == 2:
+            h.flat[0] += 1
+
+    monkeypatch.setattr(convolutions, "_hadamard", skewed)
+    sh = Shape(2, (2, 1))
+    with pytest.raises(LemmaViolationError, match="not divisible by 4"):
+        conv_dir(indicator_table(sh, np.ones(sh.sizes, dtype=bool)), 1)
 
 
 def test_conv_constant_one():
@@ -148,6 +244,21 @@ def test_arrangement_counts_match_brute_force():
         ]
         assert count_arrangements(sh, member, i, lengths) == len(brute)
         arrangement_identity_check(sh, member, i, lengths)
+
+
+def test_arrangement_tables_at_p2_match_brute_force():
+    # the transform route of arrangement_count_tables on every lengths tuple
+    for seed, dims in enumerate([(2,), (2, 2), (1, 2, 1), (3, 1)]):
+        rng = np.random.default_rng([79, seed])
+        sh = Shape(2, dims)
+        member = rng.random(sh.sizes) < 0.7
+        tables = arrangement_count_tables(sh, member, sh.k)
+        for i in range(sh.k + 1):
+            for lengths in product(*(range(s) for s in sh.sizes)):
+                brute = sum(
+                    all(member[pt] for pt in arr) for arr in brute_arrangements(sh, i, lengths)
+                )
+                assert tables[i][lengths] == brute
 
 
 def test_enumerate_agrees_with_brute():
