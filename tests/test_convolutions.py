@@ -137,6 +137,9 @@ def test_conv_int64_bounds():
         conv_dir(DomainTable(sh, num=np.array([1 << 40, 3]), den=1), 1)
     with pytest.raises(OverflowError):
         conv_dir(DomainTable(Shape(3, (1,)), num=np.array([1 << 31, 0, 0]), den=1), 1)
+    # |-2^63| is read as 2^63, where np.abs would wrap to -2^63
+    with pytest.raises(OverflowError):
+        conv_dir(DomainTable(sh, num=np.array([-(1 << 63), 0]), den=1), 1)
 
 
 def test_conv_checks_the_hadamard_divisibility(monkeypatch):
