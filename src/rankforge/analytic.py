@@ -25,6 +25,7 @@ from .forms import (
     Shape,
     code_to_vec,
     compose_output,
+    contract,
     digit_matrix,
     scalar_table,
     top_part,
@@ -37,11 +38,6 @@ BOX_GUARD = 1 << 13  # |G| cap for the 2k-fold box-norm average
 def plain_log(p: int, x: float) -> float:
     """log base p (the reporting convention used everywhere in this package)."""
     return math.log(x) / math.log(p)
-
-
-def shifted_log(p: int, x: float) -> float:
-    """The shifted convention log_p(p*x) = 1 + log_p(x); exposed for reference only."""
-    return 1.0 + plain_log(p, x)
 
 
 @dataclass(frozen=True)
@@ -135,9 +131,9 @@ def _slice_stack(f: Map) -> np.ndarray:
     point of the coordinates other than the two largest, a (n_a rows) and b
     (n_b <= n_a columns; n_b = 0 when k = 1); S sums the other dimensions.
     Each slice is the biaffine map g(y, z) = y^T M z + u.y + v.z + c.  Each
-    part of f is contracted with every point of its other coordinates and
-    added into the block its a and b select.  The guard is on the
-    p^S * n_a * n_b entries of the M blocks."""
+    part of f is contracted (`forms.contract`) with every point of its other
+    coordinates and added into the block its a and b select.  The guard is
+    on the p^S * n_a * n_b entries of the M blocks."""
     shape = f.shape
     p, dims = shape.p, shape.dims
     by_size = sorted(range(shape.k), key=lambda i: dims[i])
@@ -151,12 +147,8 @@ def _slice_stack(f: Map) -> np.ndarray:
         axes = sorted(i - 1 for i in I)
         fixed = [i for i in others if i in axes]
         free = [i for i in (a, b) if i in axes]
-        T = C[..., 0].transpose([axes.index(i) for i in fixed + free]).reshape(1, -1)
-        for i in fixed:
-            # contract the leading remaining coordinate with every point of G_i;
-            # sums of n_i products below p^2 fit int64 for any admitted Shape
-            T = np.matmul(digit_matrix(p, dims[i]), T.reshape(T.shape[0], dims[i], -1)) % p
-            T = T.reshape(-1, T.shape[-1])
+        T = C[..., 0].transpose([axes.index(i) for i in fixed + free])
+        T = contract(T, [digit_matrix(p, dims[i]) for i in fixed], p)
         block = E[..., slice(n_a) if a in free else n_a, slice(n_b) if b in free else n_b]
         block += T.reshape([s if i in fixed else 1 for i, s in zip(others, sizes)] + [dims[i] for i in free])
     return E.reshape(-1, n_a + 1, n_b + 1)

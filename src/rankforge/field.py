@@ -1,8 +1,7 @@
-"""Prime-field arithmetic, the additive character, and the standard dot product.
+"""Primality of the modulus and the additive character table of F_p.
 
-Values of F_p are plain Python ints in [0, p).  Vectors in F_p^n (points of a
-coordinate space) are int sequences; `dot` is the fixed bilinear form that
-identifies linear functionals with vectors.
+Values of F_p are residues in [0, p); the arithmetic on them is numpy's, mod
+p, in the modules that use it (`forms.contract` evaluates every map).
 """
 
 from __future__ import annotations
@@ -56,35 +55,3 @@ class PrimeField:
         table = np.exp(2j * np.pi * np.arange(self.p) / self.p)
         table.setflags(write=False)
         object.__setattr__(self, "char_table", table)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return pow(a, self.p - 2, self.p)
-
-    def character(self, t: int) -> complex:
-        return complex(self.char_table[t % self.p])
-
-    def dot(self, u, v) -> int:
-        """Standard dot product on F_p^n.  Raises on length mismatch."""
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        if u.shape != v.shape or u.ndim != 1:
-            raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-        return int(int((u * v).sum()) % self.p)
-
-
-def fvec(entries, p: int) -> tuple[int, ...]:
-    """Normalize a vector of residues mod p to a canonical tuple."""
-    out = tuple(int(e) % p for e in entries)
-    return out

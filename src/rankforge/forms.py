@@ -5,11 +5,14 @@ code in [0, p^{n_i}) whose base-p digits (little-endian) are the vector
 entries, so full-domain value tables are plain numpy grids with one axis per
 coordinate.  Domain enumeration order is row-major over (x_1, ..., x_k) codes
 and is part of the reproducibility contract.
+
+Every value of a map comes from `contract`, which sums a part's coefficient
+tensor against points, one matrix product per coordinate: value tables, the
+slice stacks behind every bias, point values and slices.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product as iproduct
@@ -126,15 +129,56 @@ def domain_codes(shape: Shape):
     return iproduct(*(range(s) for s in shape.sizes))
 
 
-def domain_points(shape: Shape):
-    """Iterator over all points as tuples of vectors (row-major)."""
-    for codes in domain_codes(shape):
-        yield codes_to_point(shape, codes)
+def residue_dtype(n: int, p: int):
+    """int64 while a sum of n products of residues mod p fits it, n (p-1)^2 < 2^63;
+    Python integers (object) past that.  A coordinate of a `Shape` gets there
+    only when k = 1 and p > 2^31."""
+    return np.int64 if n * (p - 1) ** 2 < 1 << 63 else object
+
+
+def contract(C: np.ndarray, mats, p: int) -> np.ndarray:
+    """Sum the leading axes of C in turn against the rows of residue matrices.
+
+    mats[j] is an (N_j, n_j) matrix whose rows are points of F_p^(n_j), and
+    C's axis j has length n_j; C and mats hold residues mod p.  The result
+    is the (N_1 * ... * N_j, r) array in [0, p) of C's values at every tuple of
+    rows, row-major over the tuples, with r the product of C's other axes.
+    One matrix product per axis, reduced mod p after each, is exact in the
+    `residue_dtype` of that axis."""
+    T = C.reshape(1, -1)
+    if any(residue_dtype(M.shape[1], p) is object for M in mats):
+        T, mats = T.astype(object), [M.astype(object) for M in mats]
+    for M in mats:
+        T = T.reshape(T.shape[0], M.shape[1], -1)
+        r = T.shape[2]
+        # with r = 1 the axis is one 2-d product; otherwise one per row of T
+        T = (T[:, :, 0] @ M.T if r == 1 else np.matmul(M, T)).reshape(-1, r)
+        T %= p
+    return T.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
 #  Map types
 # ---------------------------------------------------------------------------
+
+def _evaluate(f, xs) -> np.ndarray:
+    """Value at a point given as a sequence of k vectors: every part contracted
+    with its coordinates' vectors, summed in Python integers, so exact for
+    every admitted p."""
+    shape = f.shape
+    if len(xs) != shape.k:
+        raise ValueError(f"expected {shape.k} arguments, got {len(xs)}")
+    rows = []
+    for i, (x, n) in enumerate(zip(xs, shape.dims)):
+        x = np.asarray(x, dtype=np.int64) % shape.p
+        if x.shape != (n,):
+            raise ValueError(f"argument {i + 1} has shape {x.shape}, expected ({n},)")
+        rows.append(x[None, :])
+    out = np.zeros(f.m, dtype=object)
+    for I, C in f.parts.items():
+        out += contract(C, [rows[i - 1] for i in sorted(I)], shape.p)[0]
+    return (out % shape.p).astype(np.int64)
+
 
 def _check_coeffs(shape: Shape, m: int, coeffs) -> np.ndarray:
     C = np.asarray(coeffs, dtype=np.int64) % shape.p
@@ -170,19 +214,7 @@ class MultilinearMap:
     def is_zero(self) -> bool:
         return not self.coeffs.any()
 
-    def evaluate(self, xs) -> np.ndarray:
-        """Value at a point given as a sequence of k vectors."""
-        if len(xs) != self.shape.k:
-            raise ValueError(f"expected {self.shape.k} arguments, got {len(xs)}")
-        p = self.shape.p
-        T = self.coeffs
-        for x, n in zip(reversed(xs), reversed(self.shape.dims)):
-            x = np.asarray(x, dtype=np.int64) % p
-            if x.shape != (n,):
-                raise ValueError(f"argument has shape {x.shape}, expected ({n},)")
-            # contract the last remaining coordinate axis (axis -2; out axis is -1)
-            T = np.tensordot(x, T, axes=(0, T.ndim - 2)) % p
-        return T
+    evaluate = _evaluate
 
     def __eq__(self, other):
         return (
@@ -229,24 +261,7 @@ class MultiaffineMap:
     def is_zero(self) -> bool:
         return not self.parts
 
-    def evaluate(self, xs) -> np.ndarray:
-        if len(xs) != self.shape.k:
-            raise ValueError(f"expected {self.shape.k} arguments, got {len(xs)}")
-        p = self.shape.p
-        vecs = []
-        for i, x in enumerate(xs):
-            x = np.asarray(x, dtype=np.int64) % p
-            if x.shape != (self.shape.dims[i],):
-                raise ValueError(f"argument {i + 1} has shape {x.shape}, expected ({self.shape.dims[i]},)")
-            vecs.append(x)
-        out = np.zeros(self.m, dtype=np.int64)
-        for I, C in self.parts.items():
-            Is = sorted(I)
-            T = C
-            for pos in range(len(Is) - 1, -1, -1):
-                T = np.tensordot(vecs[Is[pos] - 1], T, axes=(0, pos)) % p
-            out = (out + T) % p
-        return out
+    evaluate = _evaluate
 
     def __eq__(self, other):
         if not isinstance(other, MultiaffineMap):
@@ -277,17 +292,8 @@ def as_multiaffine(f: Map) -> MultiaffineMap:
 
 def part_grid(shape: Shape, I: frozenset, C: np.ndarray) -> np.ndarray:
     """Value grid of one part over G_I, broadcast-ready against the full domain."""
-    p = shape.p
     Is = sorted(I)
-    letters = string.ascii_lowercase
-    if len(Is) + 1 > len(letters):
-        raise ValueError("arity too large for table evaluation")
-    in_ax = letters[: len(Is)]
-    out_ax = in_ax.upper()
-    spec = ",".join(f"{O}{a}" for O, a in zip(out_ax, in_ax))
-    spec = f"{spec},{in_ax}z->{out_ax}z" if Is else "z->z"
-    mats = [digit_matrix(p, shape.dims[i - 1]) for i in Is]
-    grid = np.einsum(spec, *mats, C, optimize=True) % p
+    grid = contract(C, [digit_matrix(shape.p, shape.dims[i - 1]) for i in Is], shape.p)
     # insert size-1 axes for coordinates outside I
     full = [1] * shape.k + [C.shape[-1]]
     for i in Is:
@@ -296,13 +302,15 @@ def part_grid(shape: Shape, I: frozenset, C: np.ndarray) -> np.ndarray:
 
 
 def value_table(f: Map) -> np.ndarray:
-    """Exact value grid, axes (codes of x_1..x_k, out)."""
+    """Exact value grid, axes (codes of x_1..x_k, out).  The guard keeps p and
+    the 2^k parts small, so the sum of parts is exact in int64."""
     shape = f.shape
     Shape.guard(shape.domain_size, "value table")
     out = np.zeros(shape.sizes + (f.m,), dtype=np.int64)
-    for I, C in as_multiaffine(f).parts.items():
-        out = out + part_grid(shape, I, C)
-    return out % shape.p
+    for I, C in f.parts.items():
+        out += part_grid(shape, I, C)
+    out %= shape.p
+    return out
 
 
 def scalar_table(f: Map) -> np.ndarray:
@@ -360,21 +368,17 @@ def slice_map(f: Map, I, x_I) -> Map:
     renum = {i: pos + 1 for pos, i in enumerate(rest)}
 
     acc: dict[frozenset, np.ndarray] = {}
-    for J, C in as_multiaffine(f).parts.items():
+    for J, C in f.parts.items():
         Js = sorted(J)
-        T = C
-        for i in reversed(Js):
-            if i in fixed:
-                T = np.tensordot(fixed[i], T, axes=(0, Js.index(i))) % p
-        newJ = frozenset(renum[i] for i in Js if i not in fixed)
-        if newJ in acc:
-            acc[newJ] = (acc[newJ] + T) % p
-        else:
-            acc[newJ] = T
+        cut = [pos for pos, i in enumerate(Js) if i in fixed]
+        kept = [pos for pos, i in enumerate(Js) if i not in fixed]
+        T = contract(C.transpose(cut + kept + [len(Js)]), [fixed[Js[pos]][None, :] for pos in cut], p)
+        T = T.reshape([C.shape[pos] for pos in kept] + [f.m])
+        newJ = frozenset(renum[Js[pos]] for pos in kept)
+        # k >= 2 here, so p < 2^32 and a sum of two residues fits int64
+        acc[newJ] = (acc[newJ] + T) % p if newJ in acc else T
     if isinstance(f, MultilinearMap):
-        key = frozenset(range(1, new_shape.k + 1))
-        C = acc.get(key, np.zeros(new_shape.dims + (f.m,), dtype=np.int64))
-        return MultilinearMap(new_shape, f.m, C)
+        return MultilinearMap(new_shape, f.m, acc[frozenset(range(1, new_shape.k + 1))])
     return MultiaffineMap(new_shape, f.m, acc)
 
 
@@ -405,14 +409,17 @@ def rebuild(shape: Shape, m: int, parts: dict) -> MultiaffineMap:
 
 
 def compose_output(f: Map, M) -> Map:
-    """Postcompose with the linear map F_p^m -> F_p^s given by an (m x s) matrix."""
-    M = np.asarray(M, dtype=np.int64) % f.shape.p
+    """Postcompose with the linear map F_p^m -> F_p^s given by an (m x s) matrix:
+    each part's output axis is contracted with the s columns of M."""
+    p = f.shape.p
+    M = np.asarray(M, dtype=np.int64) % p
     if M.ndim != 2 or M.shape[0] != f.m:
         raise ValueError(f"matrix shape {M.shape} does not match target dim {f.m}")
     s = M.shape[1]
+    parts = {I: contract(np.moveaxis(C, -1, 0), [M.T], p).T.reshape(C.shape[:-1] + (s,))
+             for I, C in f.parts.items()}
     if isinstance(f, MultilinearMap):
-        return MultilinearMap(f.shape, s, f.coeffs @ M % f.shape.p)
-    parts = {I: C @ M % f.shape.p for I, C in f.parts.items()}
+        return MultilinearMap(f.shape, s, parts[frozenset(range(1, f.shape.k + 1))])
     return MultiaffineMap(f.shape, s, parts)
 
 

@@ -25,6 +25,7 @@ from .forms import (
     digit_matrix,
     json_int,
     json_int_array,
+    residue_dtype,
 )
 from .partition import PartitionDecomposition
 
@@ -79,11 +80,12 @@ class PolyDense:
         return out
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        """Values at the rows of an (N, n) residue array."""
-        X = X % self.p
-        out = np.zeros(X.shape[0], dtype=np.int64)
+        """Values at the rows of an (N, n) residue array, each product of two
+        residues formed in `residue_dtype(1, p)`."""
+        X = (X % self.p).astype(residue_dtype(1, self.p), copy=False)
+        out = np.zeros(X.shape[0], dtype=X.dtype)
         for exp, c in self.terms.items():
-            t = np.full(X.shape[0], c, dtype=np.int64)
+            t = np.full(X.shape[0], c, dtype=X.dtype)
             for v, e in enumerate(exp):
                 if e:
                     col = X[:, v]
@@ -92,7 +94,7 @@ class PolyDense:
                         pw = pw * col % self.p
                     t = t * pw % self.p
             out = (out + t) % self.p
-        return out
+        return out.astype(np.int64, copy=False)
 
     def to_json(self) -> dict:
         return {

@@ -16,10 +16,10 @@ from rankforge.analytic import (
     chi_table,
     exact_bias,
     gcs_check,
-    shifted_log,
     value_histogram,
 )
 from rankforge import forms, linalg
+from test_forms import domain_points, eval_oracle
 from test_linalg import _rank_oracle
 from rankforge.errors import DomainSizeError
 from rankforge.forms import (
@@ -28,7 +28,6 @@ from rankforge.forms import (
     Shape,
     as_multiaffine,
     curry_last,
-    domain_points,
     random_multiaffine,
     random_multilinear,
     value_table,
@@ -145,11 +144,6 @@ def test_ceil_neg_log():
     assert ceil_neg_log(2, Fraction(3, 4)) == 1
     assert ceil_neg_log(2, Fraction(1)) == 0
     assert ceil_neg_log(3, Fraction(1, 10)) == 3
-
-
-def test_shifted_log_convention():
-    assert shifted_log(2, 1.0) == pytest.approx(1.0)
-    assert shifted_log(2, 0.5) == pytest.approx(0.0)
 
 
 def test_bias_homog_examples():
@@ -352,6 +346,21 @@ def test_rank_route_matches_enumeration(f):
     assert rep.vanishing_count == vanish
     assert rep.bias_exact == hist.exact_bias()
     assert rep.arank == (math.inf if vanish == 0 else pytest.approx(-math.log(rep.bias_exact, f.shape.p)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_slice_histogram_matches_pure_python_oracle(p):
+    # k >= 3, so the slice stack contracts at least one coordinate with every
+    # point of it (forms.contract), as value_histogram's table does; the
+    # pure-Python eval_oracle shares neither
+    for seed in range(6):
+        k = 3 + seed % 2
+        shape = Shape(p, {2: (2, 2, 2, 1), 3: (2, 1, 1, 1)}.get(p, (1, 1, 1, 1))[:k])
+        f = (random_multilinear if seed < 3 else random_multiaffine)(shape, 1, [16, p, seed])
+        oracle = [0] * p
+        for xs in domain_points(shape):
+            oracle[eval_oracle(f, xs)[0]] += 1
+        assert bias_report(f).histogram.counts == value_histogram(f).counts == tuple(oracle)
 
 
 def test_rank_route_past_the_enumeration_guard():

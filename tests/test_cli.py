@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import shlex
 from fractions import Fraction
@@ -576,3 +577,18 @@ def test_readme_command_line_runs(tmp_path):
     assert len(commands) >= 10 and all(argv[0] == "rankforge" for argv in commands)
     _cli_files(tmp_path)
     assert [argv for argv in commands if _exit_code(argv[1:], tmp_path) != 0] == []
+
+
+def test_readme_small_example_runs():
+    # the README's Python "Small example" block, and what its comments say it computes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Small example:", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    rep, rank = scope["rep"], scope["rank"]
+    assert rep.bias_exact == Fraction(3, 4)
+    assert rep.arank == pytest.approx(math.log2(4 / 3))
+    assert rank.exact and rank.prank == 1 and len(rank.witness) == 1
+    summand = rank.witness.summands[0]  # x * (yz)
+    assert summand.subset == frozenset({1})
+    assert summand.beta.coeffs.tolist() == [[1]] and summand.gamma.coeffs.tolist() == [[[1]]]

@@ -8,20 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankforge import forms
-from rankforge.field import PrimeField
 from rankforge.forms import (
     MultiaffineMap,
     MultilinearMap,
     Shape,
     as_multiaffine,
+    codes_to_point,
+    compose_output,
+    contract,
     curry_last,
-    domain_points,
+    domain_codes,
     map_from_json,
     map_to_json,
     multilinear_parts,
     random_multiaffine,
     random_multilinear,
     rebuild,
+    residue_dtype,
     scalar_table,
     slice_map,
     top_part,
@@ -29,8 +32,13 @@ from rankforge.forms import (
 )
 
 
+def domain_points(shape):
+    """Every point as a tuple of vectors, row-major over the codes."""
+    return (codes_to_point(shape, codes) for codes in domain_codes(shape))
+
+
 def eval_oracle(f, xs):
-    """Pure-python sum over coefficient indices, independent of the tensordot path."""
+    """Pure-python sum over coefficient indices, independent of `forms.contract`."""
     fa = as_multiaffine(f)
     p = fa.shape.p
     out = [0] * fa.m
@@ -155,9 +163,8 @@ def test_curry_last_examples():
     # xyz curries to A(x, y) = (xy)
     xyz = xyz_form()
     A = curry_last(xyz)
-    F = PrimeField(2)
     for xs in domain_points(xyz.shape):
-        assert F.dot(A.evaluate(xs[:2]), xs[2]) == xyz.evaluate(xs)[0]
+        assert int(np.dot(A.evaluate(xs[:2]), xs[2])) % 2 == xyz.evaluate(xs)[0]
     # zero form curries to the zero map
     z = MultilinearMap(Shape(2, (2, 2)), 1, np.zeros((2, 2, 1), dtype=np.int64))
     assert curry_last(z).is_zero()
@@ -197,6 +204,75 @@ def test_slice_rejects_all_coordinates():
     f = random_multiaffine(Shape(2, (1, 1)), 1, [1, 1])
     with pytest.raises(ValueError):
         slice_map(f, [1, 2], [(0,), (0,)])
+
+
+def oracle_maps():
+    """Seeded random maps for the contraction oracle: every p in {2, 3, 5, 7}
+    and k <= 4, multilinear and multiaffine (with a constant part), m <= 3,
+    dimensions grown at random while the domain stays within 2^8 points; then
+    a constant map alone for each p."""
+    for seed in range(32):
+        rng = np.random.default_rng([14, seed])
+        p, k = (2, 3, 5, 7)[seed % 4], 1 + seed // 4 % 4
+        dims = [1] * k
+        for i in rng.integers(k, size=6):
+            if p ** (sum(dims) + 1) <= 256 and rng.random() < 0.8:
+                dims[i] += 1
+        shape, m = Shape(p, tuple(dims)), int(rng.integers(1, 4))
+        make = random_multilinear if seed < 16 else random_multiaffine
+        yield make(shape, m, [15, seed])
+    for p in (2, 3, 5, 7):
+        yield MultiaffineMap(Shape(p, (1, 2)), 2, {frozenset(): [1, p - 1]})
+
+
+@pytest.mark.parametrize("f", list(oracle_maps()), ids=lambda f: f"{'ml' if isinstance(f, MultilinearMap) else 'ma'}{f.shape.p}{f.shape.dims}m{f.m}")
+def test_kernel_matches_pure_python_oracle(f):
+    # value tables, point values and slices all contract through forms.contract;
+    # eval_oracle sums monomials in Python integers instead
+    shape = f.shape
+    table = value_table(f)
+    rng = np.random.default_rng(list(shape.dims))
+    codes_list = list(domain_codes(shape))
+    if len(codes_list) > 256:  # the p = 5, 7 domains past 2^8 points: 256 random points
+        codes_list = [codes_list[i] for i in rng.choice(len(codes_list), 256, replace=False)]
+    for codes in codes_list:
+        xs = codes_to_point(shape, codes)
+        want = eval_oracle(f, xs)
+        assert tuple(table[codes]) == want
+        assert tuple(f.evaluate(xs)) == want
+        if shape.k > 1:
+            I = sorted(rng.choice(np.arange(1, shape.k + 1), size=int(rng.integers(1, shape.k)), replace=False))
+            g = slice_map(f, I, [xs[i - 1] for i in I])
+            assert type(g) is type(f)
+            assert tuple(g.evaluate([x for i, x in enumerate(xs, 1) if i not in I])) == want
+
+
+def test_kernel_exact_past_int64():
+    # each value passes 2^63 before it is reduced mod p
+    p = 2 ** 61 - 1
+    f = MultilinearMap(Shape(p, (1,)), 1, [[2 ** 60]])
+    assert f.evaluate([[2 ** 59]]).tolist() == [pow(2, 119, p)] == [288230376151711744]
+    assert compose_output(f, [[2 ** 59]]).coeffs.tolist() == [[pow(2, 119, p)]]
+    q = 2 ** 31 + 11
+    g = MultilinearMap(Shape(q, (2,)), 1, [[q - 1], [q - 1]])
+    assert g.evaluate([[q - 1, q - 1]]).tolist() == [2]
+    # past 2^62 the sum of two parts needs Python integers too
+    r = next(n for n in range(3 << 61, 1 << 63) if forms.is_prime(n))
+    a = MultiaffineMap(Shape(r, (1,)), 1, {frozenset(): [r - 1], frozenset({1}): [[r - 1]]})
+    assert a.evaluate([[1]]).tolist() == [r - 2]
+
+
+def test_contract_dtype_bound():
+    # int64 while n (p - 1)^2 < 2^63, Python integers from there on
+    assert residue_dtype(2, 2 ** 31) is np.int64 and residue_dtype(2, 2 ** 31 + 1) is object
+    assert residue_dtype(1, 3037000500) is np.int64 and residue_dtype(1, 3037000501) is object
+    p = 3037000493  # prime, (p - 1)^2 < 2^63 < 2 (p - 1)^2
+    C = np.array([[p - 1], [p - 1]], dtype=np.int64)
+    M = np.array([[p - 1, p - 1], [1, p - 1]], dtype=np.int64)
+    got = contract(C, [M], p)
+    assert got.dtype == np.int64 and got.shape == (2, 1)
+    assert got[:, 0].tolist() == [2 * (p - 1) ** 2 % p, (p - 1 + (p - 1) ** 2) % p]
+    assert contract(C[:1], [M[:, :1]], p)[:, 0].tolist() == [1, p - 1]
 
 
 def parts_oracle(f):

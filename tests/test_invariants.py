@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import rankforge
+from rankforge.forms import MultiaffineMap, MultilinearMap
 
 
 def test_no_assert_statements_in_library():
@@ -14,14 +15,23 @@ def test_no_assert_statements_in_library():
     assert not found, f"assert statements guard invariants at {found}"
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_no_private_helper_imported_across_modules():
-    # a helper named _x stays inside its module; shared code gets a public name
+    # a helper named _x stays inside its module, neither imported (from .forms
+    # import _x) nor read off a sibling module (forms._x); shared code gets a public name
+    paths = sorted(Path(rankforge.__file__).parent.glob("*.py"))
+    modules = {path.stem for path in paths}
     found = []
-    for path in sorted(Path(rankforge.__file__).parent.glob("*.py")):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom) and node.level and node.module:
-                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
-                          if a.name.startswith("_") and not a.name.startswith("__")]
+                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if _private(a.name)]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules - {path.stem} and _private(node.attr)):
+                found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
     assert not found, f"private helpers imported across modules at {found}"
 
 
@@ -51,3 +61,39 @@ def test_one_guard_routine():
                 if isinstance(exc, ast.Name) and exc.id == "DomainSizeError":
                     found.append(f"{path.name}:{node.lineno}")
     assert len(found) == 1 and found[0].startswith("forms.py:"), f"DomainSizeError raised at {found}"
+
+
+def _nodes_with_scope(tree):
+    """(dotted names of the enclosing classes and defs, node) for every node of the tree."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+            else:
+                out.append((".".join(scope), child))
+                visit(child, scope)
+
+    visit(tree, [])
+    return out
+
+
+def test_one_part_contraction():
+    # every part of a map is evaluated by forms.contract; numpy's contraction
+    # routines appear only there, in the complex box-norm average and in the
+    # prefix-quotient images of the partition-rank search
+    allowed = {"forms.py:contract", "analytic.py:_box_average", "partition.py:_Side.images"}
+    found, callers = set(), set()
+    for path in sorted(Path(rankforge.__file__).parent.glob("*.py")):
+        for scope, node in _nodes_with_scope(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np"
+                    and node.attr in {"einsum", "tensordot", "matmul"}):
+                found.add(f"{path.name}:{scope}")
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "contract":
+                callers.add(f"{path.name}:{scope}")
+    assert found <= allowed, f"numpy contractions outside the kernel at {sorted(found - allowed)}"
+    users = {"forms.py:part_grid", "forms.py:_evaluate", "forms.py:slice_map", "forms.py:compose_output",
+             "analytic.py:_slice_stack"}
+    assert users <= callers, f"{sorted(users - callers)} no longer call forms.contract"
+    assert MultilinearMap.evaluate is MultiaffineMap.evaluate

@@ -53,6 +53,21 @@ def test_poly_evaluate_matches_naive():
     assert np.array_equal(f.evaluate_many(X), [f.evaluate(x) for x in X])
 
 
+def test_evaluate_many_exact_past_int64():
+    # products of two residues past 2^63 are formed in Python integers; they wrapped
+    # to 0 in int64 at p = 2^61 - 1
+    p = 2 ** 61 - 1
+    f = PolyDense(p, 1, {(2,): 1})
+    assert f.evaluate_many(np.array([[2 ** 60]])).tolist() == [f.evaluate([2 ** 60])] == [2 ** 59]
+    g = PolyDense(p, 2, {(3, 1): p - 1, (0, 2): 5, (0, 0): p - 2})
+    X = np.array([[p - 1, p - 2], [2 ** 60, 3], [0, 0], [1, p - 1]])
+    assert g.evaluate_many(X).dtype == np.int64
+    assert g.evaluate_many(X).tolist() == [g.evaluate(x) for x in X]
+    # below the bound the int64 route is unchanged
+    h = PolyDense(3037000493, 1, {(2,): 2, (1,): 1})
+    assert h.evaluate_many(np.array([[3037000492]])).tolist() == [(2 + 3037000492) % 3037000493]
+
+
 def test_polarize_square_over_f3():
     f = PolyDense(3, 1, {(2,): 1})
     sym = polarize(f)
@@ -184,7 +199,7 @@ def test_difference_table_zero_poly_mean():
     acc = 0j
     for x in range(3):
         for y in range(3):
-            acc += field.character(((x + y) ** 2 - x ** 2) % 3)
+            acc += field.char_table[((x + y) ** 2 - x ** 2) % 3]
     assert mid == pytest.approx(acc / 9)
 
 
