@@ -126,6 +126,13 @@ def _exact_counts(f: MultilinearMap, hist: ValueHistogram) -> tuple[Fraction, in
     return exact, int(vanish)
 
 
+def slice_stack_entries(shape: Shape) -> int:
+    """p^S * n_a * n_b, the entries of the M blocks in the slice stack of a
+    map on `shape` (`_slice_stack`): the work one slice histogram is guarded by."""
+    dims = sorted(shape.dims)
+    return shape.p ** sum(dims[:-2]) * dims[-1] * (dims[-2] if shape.k > 1 else 0)
+
+
 def _slice_stack(f: Map) -> np.ndarray:
     """The (p^S, n_a + 1, n_b + 1) stack of slices [[M, u], [v^T, c]], one per
     point of the coordinates other than the two largest, a (n_a rows) and b
@@ -141,7 +148,7 @@ def _slice_stack(f: Map) -> np.ndarray:
     others = sorted(by_size[:-2])
     n_a, n_b = dims[a], (dims[b] if b is not None else 0)
     sizes = [p ** dims[i] for i in others]
-    Shape.guard(math.prod(sizes) * n_a * n_b, "slice stack")
+    Shape.guard(slice_stack_entries(shape), "slice stack")
     E = np.zeros(sizes + [n_a + 1, n_b + 1], dtype=np.int64)
     for I, C in f.parts.items():
         axes = sorted(i - 1 for i in I)
@@ -196,14 +203,16 @@ def level_set_count(f: Map, value) -> int:
     A_1 = ... = A_(p-1) and the count is
     (A_0 - A_1) / p^m = (|G| + sum over lines of (p H_s(s.v) - |G|)) / p^m.
     That p^m divides it and the count lies in [0, |G|] are checked.  The
-    guard is on the p^m character sums, and each histogram keeps its
-    slice-stack guard."""
+    guards are on the p^m character sums and on the slice-stack entries of
+    all the lines' histograms together (`slice_stack_entries`), and each
+    histogram keeps its own slice-stack guard."""
     shape = f.shape
     p, m, total = shape.p, f.m, shape.domain_size
     v = [int(t) % p for t in value]
     if len(v) != m:
         raise ValueError(f"level value must have length {m}")
     Shape.guard(p ** m, "level set characters")
+    Shape.guard((p ** m - 1) // (p - 1) * slice_stack_entries(shape), "level set slice stacks")
     diff = total  # A_0 - A_1
     for lead in range(m):
         for rest in range(p ** (m - 1 - lead)):

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -429,8 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on the first `main` call and reused: parsing
+    leaves the parser unchanged, and building it costs more than most commands."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (DomainSizeError, OverflowError) as e:

@@ -40,9 +40,10 @@ class Shape:
             raise ValueError(f"modulus {self.p} is not prime")
         if len(self.dims) < 1 or any(n < 1 for n in self.dims):
             raise ValueError(f"need k >= 1 coordinates of dimension >= 1, got {self.dims}")
-        bits = sum(n for n in self.dims) * np.log2(self.p)
-        if bits >= MAX_DOMAIN_BITS:
-            raise ValueError(f"domain size 2^{bits:.0f} exceeds the 64-bit counter guard")
+        # p^N < 2^63, in integers; p^N is formed only once N * log2(p) < 63 is certain
+        p, N = int(self.p), sum(self.dims)
+        if N * (p.bit_length() - 1) >= MAX_DOMAIN_BITS or p ** N >= 2 ** MAX_DOMAIN_BITS:
+            raise ValueError(f"domain size {p}^{N} exceeds the 64-bit counter guard")
 
     @property
     def k(self) -> int:

@@ -1,7 +1,15 @@
 """Dense linear algebra mod p: one batched Gauss-Jordan kernel (`_eliminate`)
 behind rank, reduction, solvability and left nullspaces of stacks, and
 behind the reduced row echelon form, solving, nullspaces and CR factors of
-one matrix."""
+one matrix.
+
+At p > 2 the kernel works on integer entries of the narrowest type that
+holds them (`_work_dtype`).  At p = 2 each reader packs its stack once into
+rows of uint64 words, 64 columns to a word (`_pack`: column j is bit j % 64
+of word j // 64), the kernel adds rows by XOR, and the reader unpacks only
+the columns it returns (`_unpack`).  The pivot rule is the same on both
+routes, so pivots and every entry mod 2 are bit-identical to the integer
+route, which stays callable at p = 2 as the packed route's test oracle."""
 
 from __future__ import annotations
 
@@ -38,29 +46,50 @@ def _eliminate(A: np.ndarray, p: int, ncols: int) -> np.ndarray:
     used as pivots: the pivot rows are its nonzero entries, and an ascending
     sort lists them by pivot column.
 
-    Instead of swapping rows, each matrix marks its pivot rows.  A pivot row
-    is not scaled; it clears its column in every other row, the earlier
-    pivot rows included.  Entries are reduced mod p only where they are read
-    (the pivot column and row), so a pass adds at most one product below
-    (p-1)^2 to each entry of any row, and a matrix gets at most
-    min(r, ncols) passes with a pivot: entries stay below
-    min(r, ncols) * (p-1)^2 + p, the bound `_work_dtype` sizes the work type
-    by, whether or not pivot rows are cleared too.  The loop stops once
-    every row of every matrix holds a pivot.
+    Instead of swapping rows, each matrix marks its pivot rows: the pivot is
+    the lowest-index row with a nonzero entry that holds no pivot yet.  A
+    pivot row is not scaled; it clears its column in every other row, the
+    earlier pivot rows included.  The loop stops once every row of every
+    matrix holds a pivot.
+
+    A stack of signed integers is eliminated entry by entry.  Entries are
+    reduced mod p only where they are read (the pivot column and row), so a
+    pass adds at most one product below (p-1)^2 to each entry of any row,
+    and a matrix gets at most min(r, ncols) passes with a pivot: entries stay
+    below min(r, ncols) * (p-1)^2 + p, the bound `_work_dtype` sizes the work
+    type by, whether or not pivot rows are cleared too.
+
+    At p = 2 the stack may instead hold packed rows (`_pack`): uint64 words
+    whose bit j % 64 of word j // 64 is column j.  A pass reads column j as
+    one bit per row and XORs the pivot row's words from word j // 64 on into
+    every row with a 1 there.  Below column j the pivot row is zero (a row
+    without a pivot is zero in every earlier column), so the bits under j in
+    that word change nothing.  With the same pivot rule, XOR is subtraction
+    mod 2, and the pivots and entries mod 2 are those of the integer route.
     """
+    packed = A.dtype.kind == "u"
     B, r, _ = A.shape
     pivot_col = np.zeros((B, r), dtype=np.int64)
+    if not r:  # no pivots, and no row for `argmax` to pick
+        return pivot_col
     batch = np.arange(B)
     full = 0  # passes in which every matrix took a pivot
     for j in range(ncols):
-        col = A[:, :, j] % p
+        if packed:
+            w = j >> 6
+            col = A[:, :, w] >> (j & 63) & 1
+        else:
+            w = j
+            col = A[:, :, j] % p
         cand = np.logical_and(col, pivot_col == 0)
-        has = cand.any(axis=1)
+        src = cand.argmax(axis=1)  # 0 where a matrix has no candidate
+        has = cand[batch, src]
         found = np.count_nonzero(has)
         if not found:
             continue
-        src = cand.argmax(axis=1)
-        piv = A[batch, src, j:] % p
+        piv = A[batch, src, w:]
+        if not packed:
+            piv %= p
         if p > 2:
             piv *= _inverse_many(col[batch, src], p)[:, None]
             piv %= p
@@ -72,11 +101,38 @@ def _eliminate(A: np.ndarray, p: int, ncols: int) -> np.ndarray:
             # a matrix without a pivot in this column gets a zero pivot row: no-op
             piv *= has[:, None]
         col[batch, src] = 0
-        rest = A[:, :, j:]  # updated through the view: `A[...] -=` would copy it back onto itself
-        rest -= col[:, :, None] * piv[:, None, :]
+        rest = A[:, :, w:]  # updated through the view: `A[...] -=` would copy it back onto itself
+        if packed:
+            rest ^= col[:, :, None] * piv[:, None, :]
+        else:
+            rest -= col[:, :, None] * piv[:, None, :]
         if full == r:
             break
     return pivot_col
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """A (B, r, c) stack of 0/1 bytes as (B, r, ceil(c / 64)) packed rows
+    for `_eliminate`: column j is bit j % 64 of uint64 word j // 64, and the
+    bits past column c are 0.  Rows are padded to whole bytes first, so that
+    one flat `np.packbits` pass packs them all."""
+    B, r, c = bits.shape
+    nbytes = -(-c // 8)
+    if c % 8:
+        padded = np.zeros((B, r, nbytes * 8), dtype=np.uint8)
+        padded[:, :, :c] = bits
+        bits = padded
+    packed = np.packbits(bits.reshape(-1), bitorder="little").reshape(B, r, nbytes)
+    out = np.zeros((B, r, -(-c // 64) * 8), dtype=np.uint8)
+    out[:, :, :nbytes] = packed
+    return out.view("<u8")
+
+
+def _unpack(words: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Columns start..stop-1 of packed rows (`_pack`), int64 0/1 entries."""
+    B, r, w = words.shape
+    bits = np.unpackbits(words.view(np.uint8).reshape(-1), bitorder="little")
+    return bits.reshape(B, r, w * 64)[:, :, start:stop].astype(np.int64)
 
 
 _WORK_DTYPES = [(np.int16, 2 ** 15 - 1), (np.int32, 2 ** 31 - 1), (np.int64, 2 ** 63 - 1)]
@@ -92,11 +148,37 @@ def _work_dtype(passes: int, p: int):
     raise ValueError(f"modulus {p} is too large for exact int64 elimination")
 
 
+def _work(A: np.ndarray, p: int, ncols: int, extra: int = 0) -> np.ndarray:
+    """A work stack for eliminating the first `ncols` columns of a (B, r, c)
+    int64 stack mod p: A's entries mod p, then `extra` columns for the caller
+    to fill with entries in [0, p).  Its entries are 0/1 bytes to pack at
+    p = 2 (`_pack`), else the narrowest type that holds the elimination
+    (`_work_dtype`)."""
+    B, r, c = A.shape
+    if p == 2:
+        work = np.empty((B, r, c + extra), dtype=np.uint8)
+        np.bitwise_and(A, 1, out=work[:, :, :c], casting="unsafe")
+    else:
+        work = np.empty((B, r, c + extra), dtype=_work_dtype(min(r, ncols), p))
+        np.remainder(A, p, out=work[:, :, :c], casting="unsafe")
+    return work
+
+
 def _as_stack(stack) -> np.ndarray:
     A = np.asarray(stack, dtype=np.int64)
     if A.ndim != 3:
         raise ValueError("expected a (B, r, c) stack of matrices")
     return A
+
+
+def _reduce(work: np.ndarray, p: int, ncols: int, start: int):
+    """Eliminate the first `ncols` columns of a filled work stack (`_work`),
+    packed at p = 2.  Returns the pivot columns (`_eliminate`) and columns
+    `start`.. of the result as int64 in [0, p)."""
+    if p == 2:
+        words = _pack(work)
+        return _eliminate(words, p, ncols), _unpack(words, start, work.shape[2])
+    return _eliminate(work, p, ncols), np.remainder(work[:, :, start:], p, dtype=np.int64)
 
 
 def reduce_many(stack, p: int, ncols: int):
@@ -110,10 +192,8 @@ def reduce_many(stack, p: int, ncols: int):
     pivots only when it leaves the span of the rows above it.
     """
     A = _as_stack(stack)
-    work = np.empty(A.shape, dtype=_work_dtype(min(A.shape[1], ncols), p))
-    np.remainder(A, p, out=work, casting="unsafe")
-    pivot = _eliminate(work, p, ncols) != 0
-    return pivot, np.remainder(work[:, :, ncols:], p, dtype=np.int64)
+    pivot_col, carried = _reduce(_work(A, p, ncols), p, ncols, ncols)
+    return pivot_col != 0, carried
 
 
 def rank_many(stack, p: int) -> np.ndarray:
@@ -139,11 +219,10 @@ def solvable_many(stack, b, p: int) -> np.ndarray:
     """
     A = _as_stack(stack)
     B, r, c = A.shape
-    aug = np.empty((B, r, c + 1), dtype=_work_dtype(min(r, c), p))
-    np.remainder(A, p, out=aug[:, :, :c], casting="unsafe")
+    aug = _work(A, p, c, 1)
     aug[:, :, c] = np.asarray(b, dtype=np.int64) % p
-    unused = _eliminate(aug, p, c) == 0
-    return ~((aug[:, :, c] % p != 0) & unused).any(axis=1)
+    pivot_col, residue = _reduce(aug, p, c, c)
+    return ~(residue[:, :, 0].astype(bool) & (pivot_col == 0)).any(axis=1)
 
 
 def left_nullspace_many(stack, p: int):
@@ -158,11 +237,10 @@ def left_nullspace_many(stack, p: int):
     """
     A = _as_stack(stack)
     B, r, c = A.shape
-    aug = np.zeros((B, r, c + r), dtype=_work_dtype(min(r, c), p))
-    np.remainder(A, p, out=aug[:, :, :c], casting="unsafe")
+    aug = _work(A, p, c, r)
     aug[:, :, c:] = np.eye(r, dtype=aug.dtype)
-    unused = _eliminate(aug, p, c) == 0
-    return (aug[:, :, c:] % p).astype(np.int64), unused
+    pivot_col, Y = _reduce(aug, p, c, c)
+    return Y, pivot_col == 0
 
 
 def _echelon(A: np.ndarray, p: int, ncols: int):
@@ -174,14 +252,12 @@ def _echelon(A: np.ndarray, p: int, ncols: int):
     rows without a pivot follow, zero in the first `ncols` columns.  Columns
     from `ncols` on (an augmented right-hand side) are carried along.
     """
-    rows, c = A.shape
-    work = np.empty((1, rows, c), dtype=_work_dtype(min(rows, ncols), p))
-    np.remainder(A, p, out=work[0], casting="unsafe")
-    pivot_col = _eliminate(work, p, ncols)[0]
+    pivot_col, R = _reduce(_work(A[None], p, ncols), p, ncols, 0)
+    pivot_col = pivot_col[0]
     rank = np.count_nonzero(pivot_col)
     order = pivot_col.argsort()  # pivot rows by pivot column, then the rest
     pivots = pivot_col[order[:rank]] + ncols
-    R = np.remainder(work[0, order], p, dtype=np.int64)
+    R = R[0, order]
     if p > 2:
         top = R[:rank]
         top *= _inverse_many(top[np.arange(rank), pivots], p)[:, None]

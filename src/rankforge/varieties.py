@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import forms, linalg
-from .analytic import exact_bias, level_set_count
+from .analytic import exact_bias, level_set_count, slice_stack_entries
 from .errors import LemmaViolationError
 from .forms import (
     Map,
@@ -119,11 +119,14 @@ def density(V: Variety) -> Fraction:
     at HISTOGRAM_POINTS points per histogram, or when the value table would
     be refused; otherwise it is enumerated (`V.size()`, also the counted
     route's test oracle).  Where the table is admitted, counting is chosen
-    only if p^m, p and every slice stack are at most |G|, so it refuses no
-    input that enumeration answers."""
+    only if p^m, p and every slice stack are at most |G| and the slice
+    stacks of all the histograms together are within the guard, so it
+    refuses no input that enumeration answers."""
     shape, p = V.shape, V.shape.p
     histograms = (p ** V.codim - 1) // (p - 1)
-    if histograms * HISTOGRAM_POINTS > shape.domain_size and shape.domain_size <= forms.DEFAULT_ENUM_GUARD:
+    costly = (histograms * HISTOGRAM_POINTS > shape.domain_size
+              or histograms * slice_stack_entries(shape) > forms.DEFAULT_ENUM_GUARD)
+    if costly and shape.domain_size <= forms.DEFAULT_ENUM_GUARD:
         return Fraction(V.size(), shape.domain_size)
     return Fraction(level_set_count(V.defining_map, V.value), shape.domain_size)
 

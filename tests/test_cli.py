@@ -344,10 +344,40 @@ def test_lemma_violation_exit_1(monkeypatch, tmp_path):
     def boom(f):
         raise LemmaViolationError("synthetic violation")
 
-    monkeypatch.setattr(cli, "bias_report", boom)
     sh = Shape(2, (1, 1))
     f = MultilinearMap(sh, 1, np.ones((1, 1, 1), dtype=np.int64))
-    assert cli.main(["arank", "--map", write_map(tmp_path, f)]) == 1
+    argv = ["arank", "--map", write_map(tmp_path, f)]
+    # the parser is built before the patch, so a command looks its helpers up when it runs
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(cli, "bias_report", boom)
+    assert cli.main(argv) == 1
+
+
+def test_parser_built_once_and_reused(tmp_path, capsys):
+    import rankforge.cli as cli
+
+    cli._parser.cache_clear()
+    path = xyz_file(tmp_path)
+    first = run(capsys, ["arank", "--map", path])
+    assert first[0] == 0 and run(capsys, ["arank", "--map", path]) == first
+    assert cli._parser.cache_info().misses == 1
+    # an argparse error leaves the parser usable
+    with pytest.raises(SystemExit) as err:
+        main(["arank", "--map", path, "--rmax", "2"])
+    assert err.value.code == 2
+    assert run(capsys, ["arank", "--map", path]) == first
+
+
+def test_bohr_size_options_exclude_each_other_on_every_call(tmp_path):
+    # --s and --epsilon are told from their defaults by identity; a reused
+    # parser must refuse the pair on its first and on later calls alike
+    import rankforge.cli as cli
+
+    cli._parser.cache_clear()
+    _cli_files(tmp_path)
+    argv = ["variety", "bohr", *MAP_FILE, "--s", "1", "--epsilon", "1/4"]
+    assert [_exit_code(argv, tmp_path) for _ in range(2)] == [2, 2]
+    assert _exit_code(["variety", "bohr", *MAP_FILE, "--s", "1"], tmp_path) == 0
 
 
 def test_format_csv_rejected_outside_scatter(tmp_path):

@@ -73,6 +73,30 @@ def test_shape_validation():
         Shape(2, (0, 2))
 
 
+@pytest.mark.parametrize("p,dims,admitted", [
+    (2, (62,), True), (2, (40, 22), True), (2, (63,), False), (2, (31, 32), False),
+    (3, (39,), True), (3, (20, 19), True), (3, (40,), False), (3, (20, 20), False),
+    # 2^63 - 25 is prime: p^1 < 2^63, though log2(p) rounds to 63.0 in float64
+    (2 ** 63 - 25, (1,), True), (2 ** 63 - 25, (1, 1), False), (2 ** 61 - 1, (2,), False),
+])
+def test_shape_domain_bound_is_exact(p, dims, admitted):
+    # a domain is admitted exactly when its p^(sum of dims) points number below 2^63
+    assert (p ** sum(dims) < 2 ** 63) == admitted
+    if admitted:
+        assert Shape(p, dims).domain_size == p ** sum(dims)
+    else:
+        with pytest.raises(ValueError, match="64-bit counter guard"):
+            Shape(p, dims)
+
+
+def test_shape_refuses_a_huge_domain_at_once():
+    # 2^(10^9) is never formed: the bound is settled from bit lengths first
+    with pytest.raises(ValueError, match="64-bit counter guard"):
+        Shape(2, (10 ** 9,))
+    with pytest.raises(ValueError, match="64-bit counter guard"):
+        Shape(3, (5 * 10 ** 8, 5 * 10 ** 8))
+
+
 def test_evaluate_examples():
     xyz = xyz_form()
     assert eval_oracle(xyz, [(1,), (1,), (1,)]) == (1,)

@@ -48,10 +48,11 @@ CASES = {
     "Variety.size": (128, lambda: VARIETY.size()),
     "LayerFamily.layer_tables": (128, lambda: list(LAYERS.layer_tables())),
     "LayerFamily.union_table": (128, lambda: LAYERS.union_table()),
-    # p^m = 4 character sums for VARIETY, each over a 24-entry slice stack
+    # p^m = 4 character sums for VARIETY, over 3 lines of a 24-entry slice
+    # stack each: the sums are refused first, and a density at 3 * 24 = 72
     "level_set_count": (4, lambda: analytic.level_set_count(VARIETY.defining_map, (0, 0))),
-    "density": (24, lambda: varieties.density(VARIETY)),
-    "density_bound_check": (24, lambda: varieties.density_bound_check(VARIETY)),
+    "density": (72, lambda: varieties.density(VARIETY)),
+    "density_bound_check": (72, lambda: varieties.density_bound_check(VARIETY)),
     "bohr_external": (128, lambda: varieties.bohr_external(AFFINE, 1, [40, 3])),
     "bohr_external_sim": (128, lambda: varieties.bohr_external_sim([AFFINE], 1, [40, 4])),
     "approximation_error": (128, lambda: varieties.approximation_error(

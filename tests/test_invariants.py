@@ -63,6 +63,32 @@ def test_one_guard_routine():
     assert len(found) == 1 and found[0].startswith("forms.py:"), f"DomainSizeError raised at {found}"
 
 
+def _np_call(node, names) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "np" and node.func.attr in names)
+
+
+def test_one_elimination_kernel():
+    # linalg._eliminate is the only elimination: no other module packs bits
+    # for it, nor subtracts or XORs a multiple of a row into a matrix in place
+    # (the row update of Gaussian elimination) or subtracts an outer product
+    found = []
+    for path in sorted(Path(rankforge.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if _np_call(node, {"packbits", "unpackbits"}):
+                found.append(f"{path.name}:{node.lineno} np.{node.func.attr}")
+            elif (isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Sub, ast.BitXor))
+                    and (isinstance(node.value, ast.BinOp) and isinstance(node.value.op, (ast.Mult, ast.BitAnd))
+                         or _np_call(node.value, {"outer"}))):
+                found.append(f"{path.name}:{node.lineno} row update")
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Sub, ast.BitXor))
+                    and (_np_call(node.left, {"outer"}) or _np_call(node.right, {"outer"}))):
+                found.append(f"{path.name}:{node.lineno} outer-product update")
+    assert not found, f"elimination outside linalg at {found}"
+
+
 def _nodes_with_scope(tree):
     """(dotted names of the enclosing classes and defs, node) for every node of the tree."""
     out = []

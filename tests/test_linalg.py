@@ -187,3 +187,76 @@ def test_reduce_many_pivots_and_carried_columns(p, rows, ncols, extra, seed):
         # rows without a pivot are zero on the first ncols columns and stay in A's row span
         rest = np.hstack([np.zeros((rows, ncols), dtype=np.int64), C])[~piv]
         assert _rank_oracle(np.vstack([A, rest]), p) == _rank_oracle(A, p) == r + _rank_oracle(rest, p)
+
+
+# ---------------------------------------------------------------------------
+#  p = 2: packed rows against the integer route and the column loop
+# ---------------------------------------------------------------------------
+
+def _stack(kind, B, r, c, seed):
+    """A seeded (B, r, c) stack with entries outside [0, 2): uniform, of rank
+    at most 3, zero, identity-led ([I | uniform]), or uniform with a last
+    row that is the sum of the rows above it."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((B, r, c), dtype=np.int64)
+    if kind == "low":
+        return rng.integers(-3, 3, (B, r, 3)) @ rng.integers(-3, 3, (B, 3, c))
+    A = rng.integers(-3, 3, (B, r, c))
+    if kind == "identity":
+        A[:, :, : min(r, c)] = np.eye(r, min(r, c), dtype=np.int64)
+    elif kind == "dependent" and r > 1:
+        A[:, -1] = A[:, :-1].sum(axis=1)
+    return A
+
+
+PACKED_CASES = [
+    # (kind, B, r, c, ncols)
+    ("uniform", 1, 5, 7, 7), ("uniform", 1, 7, 5, 0), ("low", 1, 6, 9, 4),
+    ("uniform", 400, 9, 12, 9), ("low", 400, 12, 9, 6), ("dependent", 300, 10, 13, 12),
+    ("uniform", 2, 70, 130, 130), ("uniform", 3, 130, 70, 70), ("low", 2, 129, 200, 150),
+    ("uniform", 2, 64, 64, 64), ("uniform", 2, 65, 128, 127), ("uniform", 1, 200, 129, 129),
+    ("dependent", 1, 66, 140, 140), ("dependent", 3, 140, 66, 60),
+    ("zero", 4, 70, 70, 70), ("zero", 1, 3, 0, 0), ("zero", 2, 0, 5, 5),
+    ("identity", 4, 70, 70, 70), ("identity", 2, 64, 192, 128), ("identity", 1, 130, 129, 129),
+]
+
+
+@pytest.mark.parametrize("kind,B,r,c,ncols", PACKED_CASES)
+def test_packed_elimination_matches_integer_route(kind, B, r, c, ncols):
+    A = _stack(kind, B, r, c, [15, B, r, c, ncols])
+    work = (A % 2).astype(np.int16)
+    words = linalg._pack(work.astype(np.uint8))
+    assert words.dtype.kind == "u" and words.shape == (B, r, -(-c // 64))
+    pivot_int = linalg._eliminate(work, 2, ncols)
+    pivot_packed = linalg._eliminate(words, 2, ncols)
+    assert _same(pivot_packed, pivot_int)
+    assert _same(linalg._unpack(words, 0, c), (work % 2).astype(np.int64))
+    assert _same(linalg._unpack(words, ncols, c), (work[:, :, ncols:] % 2).astype(np.int64))
+
+
+@pytest.mark.parametrize("kind,B,r,c,ncols", PACKED_CASES)
+def test_readers_at_p2_match_column_loop(kind, B, r, c, ncols):
+    A = _stack(kind, B, r, c, [16, B, r, c, ncols])
+    rng = np.random.default_rng([17, B, r, c])
+    b = np.where(rng.random((B, 1)) < 0.5, np.einsum("brc,bc->br", A, rng.integers(0, 2, (B, c))),
+                 rng.integers(0, 2, (B, r)))
+    assert _same(linalg.rank_many(A, 2), np.array([_rank_oracle(M, 2) for M in A], dtype=np.int64))
+    assert linalg.solvable_many(A, b, 2).tolist() == [_solve_oracle(M, v, 2) is not None for M, v in zip(A, b)]
+    pivot, carried = linalg.reduce_many(A, 2, ncols)
+    Y, basis = linalg.left_nullspace_many(A, 2)
+    # the column loop on the first 40 matrices of the batch
+    for M, v, piv, C, y, keep in list(zip(A, b, pivot, carried, Y, basis))[:40]:
+        rank = _rank_oracle(M[:, :ncols], 2)
+        assert piv.sum() == rank and (r == 0 or piv[-1] == (rank > _rank_oracle(M[:-1, :ncols], 2)))
+        rest = np.hstack([np.zeros((r, ncols), dtype=np.int64), C])[~piv]
+        assert _rank_oracle(np.vstack([M, rest]), 2) == _rank_oracle(M, 2) == rank + _rank_oracle(rest, 2)
+        kernel = y[keep]
+        assert len(kernel) == r - _rank_oracle(M, 2) and not (kernel @ M % 2).any()
+        assert _rank_oracle(kernel, 2) == len(kernel)
+        R, pivots = linalg.row_echelon(M, 2)
+        R_old, pivots_old = _row_echelon_oracle(M, 2)
+        assert _same(R, R_old) and pivots == pivots_old
+        x, x_old = linalg.solve(M, v, 2), _solve_oracle(M, v, 2)
+        assert (x is None) == (x_old is None) and (x is None or _same(x, x_old))
+        assert _same(linalg.nullspace(M, 2), _nullspace_oracle(M, 2))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankforge.varieties as V
-from rankforge import analytic, linalg
+from rankforge import analytic, forms, linalg
 from rankforge.analytic import level_set_count
 from rankforge.errors import DomainSizeError, LemmaViolationError
 from rankforge.forms import (
@@ -97,6 +97,36 @@ def test_level_set_count_checks_its_character_sums(monkeypatch):
         level_set_count(f, (0, 0))
     with pytest.raises(ValueError):
         level_set_count(f, (0, 0, 0))
+
+
+def test_level_set_count_guards_every_histogram_at_once(monkeypatch):
+    # a map into F_2^22 on 2^23 points: 2^22 - 1 lines, each a 12 x 11 slice
+    # stack, are refused before any histogram is counted
+    f = random_multiaffine(Shape(2, (12, 11)), 22, [45, 0])
+
+    def no_histogram(g):
+        raise AssertionError("histogram counted before the guard")
+
+    monkeypatch.setattr(analytic, "_slice_histogram", no_histogram)
+    with pytest.raises(DomainSizeError) as err:
+        level_set_count(f, (0,) * 22)
+    assert err.value.needed == (2 ** 22 - 1) * 12 * 11
+
+
+def test_density_enumerates_what_counting_would_refuse(monkeypatch):
+    # (2,(1,1,1)) into F_2^3: 7 lines of 2-entry slice stacks, 14 entries in
+    # all.  Under a guard of 13 the table of 8 points is admitted and the
+    # counted route is not, so the density is enumerated.
+    f = random_multiaffine(Shape(2, (1, 1, 1)), 3, [45, 1])
+    variety = Variety(f, (0, 0, 0))
+    monkeypatch.setattr(V, "HISTOGRAM_POINTS", 1)
+    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 13)
+    with pytest.raises(DomainSizeError) as err:
+        level_set_count(f, (0, 0, 0))
+    assert err.value.needed == 14
+    assert density(variety) == Fraction(variety.size(), 8)
+    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 14)
+    assert level_set_count(f, (0, 0, 0)) == variety.size()
 
 
 def test_density_bound_random_nonempty():
