@@ -39,7 +39,6 @@ from .partition import (
     flatten,
     is_partition_rank_le1,
     lovett_lower_bound,
-    matrix_rank,
     prank_exact,
 )
 from .varieties import (

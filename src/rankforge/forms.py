@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .field import is_prime
 MAX_DOMAIN_BITS = 63
 DEFAULT_ENUM_GUARD = 1 << 22
 TABLE_CACHE_ENTRIES = 1 << 22  # int64 entries (32 MB) of the largest digit or addition table kept for reuse
+CAST_BLOCK = 1 << 16  # entries cast at a time from float64 products back to int64
 
 
 @dataclass(frozen=True)
@@ -125,16 +126,24 @@ def codes_to_point(shape: Shape, codes) -> tuple[tuple[int, ...], ...]:
     return tuple(code_to_vec(shape.p, n, c) for n, c in zip(shape.dims, codes))
 
 
-def domain_codes(shape: Shape):
-    """Iterator over all points as tuples of per-coordinate codes (row-major)."""
-    return iproduct(*(range(s) for s in shape.sizes))
-
-
 def residue_dtype(n: int, p: int):
-    """int64 while a sum of n products of residues mod p fits it, n (p-1)^2 < 2^63;
-    Python integers (object) past that.  A coordinate of a `Shape` gets there
-    only when k = 1 and p > 2^31."""
-    return np.int64 if n * (p - 1) ** 2 < 1 << 63 else object
+    """The cheapest dtype in which a sum of n products of residues mod p is
+    exact: float64 while n (p-1)^2 < 2^53, int64 while n (p-1)^2 < 2^63, and
+    Python integers (object) past that.  A coordinate of a `Shape` gets past
+    int64 only when k = 1 and p > 2^31."""
+    bound = n * (p - 1) ** 2
+    return np.float64 if bound < 1 << 53 else np.int64 if bound < 1 << 63 else object
+
+
+def _int64_in_place(F: np.ndarray) -> np.ndarray:
+    """The integers of a C-contiguous float64 array as int64, in its own buffer.
+    Each block is copied before it is cast onto itself, so the peak memory is
+    the array and one block, where `astype` would hold two whole arrays."""
+    out = F.view(np.int64)
+    src, dst = F.reshape(-1), out.reshape(-1)
+    for start in range(0, src.size, CAST_BLOCK):
+        dst[start : start + CAST_BLOCK] = src[start : start + CAST_BLOCK]
+    return out
 
 
 def contract(C: np.ndarray, mats, p: int) -> np.ndarray:
@@ -145,16 +154,23 @@ def contract(C: np.ndarray, mats, p: int) -> np.ndarray:
     is the (N_1 * ... * N_j, r) array in [0, p) of C's values at every tuple of
     rows, row-major over the tuples, with r the product of C's other axes.
     One matrix product per axis, reduced mod p after each, is exact in the
-    `residue_dtype` of that axis."""
-    T = C.reshape(1, -1)
-    if any(residue_dtype(M.shape[1], p) is object for M in mats):
-        T, mats = T.astype(object), [M.astype(object) for M in mats]
+    `residue_dtype` of the longest axis.  In float64 every partial sum is an
+    integer below 2^53, so the BLAS product is exact in any summation order
+    and on any number of threads; its result goes back to int64 residues
+    after each axis."""
+    dtype = residue_dtype(max(M.shape[1] for M in mats), p) if mats else np.int64
+    T = np.ascontiguousarray(C, dtype=dtype).reshape(1, -1)
     for M in mats:
-        T = T.reshape(T.shape[0], M.shape[1], -1)
-        r = T.shape[2]
+        T = T.astype(dtype, copy=False).reshape(T.shape[0], M.shape[1], -1)
+        M, r = M.astype(dtype, copy=False), T.shape[2]
         # with r = 1 the axis is one 2-d product; otherwise one per row of T
         T = (T[:, :, 0] @ M.T if r == 1 else np.matmul(M, T)).reshape(-1, r)
-        T %= p
+        if dtype is np.float64:
+            T = _int64_in_place(T)
+        if p == 2:  # the sums are nonnegative, and a bit mask is cheaper than a division
+            T &= 1
+        else:
+            T %= p
     return T.astype(np.int64, copy=False)
 
 

@@ -17,10 +17,18 @@ the left nullspace of the prefix columns P (the prefix quotient), then
 is contracted from Q and the factor alone, and all j are checked by one
 batched elimination (`linalg.solvable_many`).  The quotients of the prefixes
 parent + (i,) come from the parent's quotient Q_p: the left nullspace of
-Q_p B_i, again batched over i (`linalg.left_nullspace_many`).  Only the
-solvable leaf the search stops at is solved (`linalg.solve`) to build the
-witness.  The budget is charged leaf by leaf in the same order, so nodes,
-leaves and witnesses do not depend on the batching.
+Q_p B_i, again batched over i (`linalg.left_nullspace_many`), whose basis
+rows are stacked and multiplied by Q_p in one product.  Only the solvable
+leaf the search stops at is solved (`linalg.solve`) to build the witness.
+
+A batch of leaves may span several prefixes: their quotients are stacked,
+and each side's factors are contracted with the whole stack at once.  Every
+product of the search (these images, the child quotients and the right-hand
+sides Q b) goes through `forms.contract`, which runs it as an exact float64
+BLAS product at desk-scale p.  A batch allocates at most `BATCH_BYTES`
+(one leaf or one child at the least).  The budget is charged leaf by leaf
+in the same order, so nodes, leaves and witnesses do not depend on the
+batching.
 
 Exactness is never sacrificed silently: on budget exhaustion, or when some
 bipartition has no enumerable side, the result is an interval, not a guess.
@@ -37,11 +45,15 @@ import numpy as np
 from . import linalg
 from .analytic import ceil_neg_log, exact_bias
 from .errors import LemmaViolationError
-from .forms import MultilinearMap, Shape
+from .forms import MultilinearMap, Shape, contract
 
 MODE_CAP = 4096          # normalized factors enumerable per bipartition side
 DEFAULT_BUDGET = 200_000  # solver unknowns, summed over the leaves checked
-BATCH_ENTRIES = 1 << 15   # matrix entries per batched elimination of the search
+BATCH_BYTES = 1 << 21     # bytes one batch of the search allocates
+# A batch holds each entry of its padded stack about four times at once, in at most
+# 8 bytes each: the stack itself, one side's float64 product (cast to int64 in
+# place), the rows gathered from that product, and the elimination's work rows.
+ENTRY_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -110,10 +122,6 @@ def flatten(alpha: MultilinearMap, I) -> np.ndarray:
     M = C.transpose(perm)
     r = int(np.prod([alpha.shape.dims[i - 1] for i in I]))
     return M.reshape(r, -1)
-
-
-def matrix_rank(M, p: int) -> int:
-    return int(linalg.rank_many(np.asarray(M)[None], p)[0])
 
 
 def canonical_subsets(k: int):
@@ -191,17 +199,15 @@ class _Side:
     factors: np.ndarray   # (count, enumerated-side coeff count), one factor per row
     width: int            # unknowns per entry: the free side's coefficient count
 
-    def images(self, shape: Shape, Q: np.ndarray, rows: slice, p: int) -> np.ndarray:
-        """Q B for the blocks B of the entries `rows`: a (rows, len(Q), width)
-        stack, contracted from Q, with its columns split over (subset, complement)
-        coefficients, and the factors alone."""
+    def images(self, shape: Shape, Q: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+        """Q B for the blocks B of the entries `rows`: a (len(rows), len(Q), width)
+        stack, one contraction (`forms.contract`) of the factors with Q, whose
+        columns are split into the factor side's coefficients, which lead, Q's
+        rows and the free side's coefficients."""
         Is, comp = sorted(self.subset), sorted(_complement(shape, self.subset))
-        nb = int(np.prod([shape.dims[i - 1] for i in Is]))
-        Qt = Q.reshape((len(Q),) + shape.dims).transpose([0] + Is + comp).reshape(len(Q), nb, Q.shape[1] // nb)
-        F = self.factors[rows]
-        if self.enum_on_subset:
-            return np.tensordot(F, Qt, axes=(1, 1)) % p
-        return np.tensordot(Qt, F, axes=(2, 1)).transpose(2, 0, 1) % p
+        lead, free = (Is, comp) if self.enum_on_subset else (comp, Is)
+        C = Q.reshape((len(Q),) + shape.dims).transpose(lead + [0] + free)
+        return contract(C, [self.factors[rows]], p).reshape(len(rows), len(Q), self.width)
 
     def block(self, shape: Shape, row: int) -> np.ndarray:
         """Columns spanning {factor x free side} in the natural coefficient order,
@@ -342,48 +348,44 @@ def prank_exact(alpha: MultilinearMap, r_max: int = 6, budget: int = DEFAULT_BUD
     def columns(idxs) -> np.ndarray:
         return np.hstack([side.block(shape, row) for side, row in map(entry, idxs)])
 
-    def padded_images(Q: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Q B_j for the pool entries j in [start, stop), zero-padded to one width."""
-        out = np.zeros((stop - start, len(Q), wmax), dtype=np.int64)
-        for s in range(int(side_of[start]), int(side_of[stop - 1]) + 1):
-            lo, hi_ = max(start, int(offsets[s])), min(stop, int(offsets[s + 1]))
-            rows = slice(lo - int(offsets[s]), hi_ - int(offsets[s]))
-            out[lo - start : hi_ - start, :, : sides[s].width] = sides[s].images(shape, Q, rows, p)
+    def padded_images(Qs: np.ndarray, t: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Qs[t_l] B_(j_l) for every pair (t_l, j_l) of the arrays t and j, from a
+        (T, dmax, N) stack Qs of quotients zero-padded to one height, as a stack
+        zero-padded to one width.  One contraction per side serves every
+        quotient of Qs."""
+        T, dmax, _ = Qs.shape
+        Q = Qs.reshape(T * dmax, -1)
+        out = np.zeros((len(j), dmax, wmax), dtype=np.int64)
+        on = side_of[j]
+        for s in range(on.min(), on.max() + 1):
+            sel = on == s
+            if not sel.any():
+                continue
+            rows = j[sel] - offsets[s]
+            first = rows.min()
+            images = sides[s].images(shape, Q, np.arange(first, rows.max() + 1), p)
+            out[sel, :, : sides[s].width] = images.reshape(-1, T, dmax, sides[s].width)[rows - first, t[sel]]
+            del images  # before the next side's products
         return out
 
-    def first_solvable(segments):
-        """Position, in leaf order, of the first solvable leaf among the
-        segments (Q, start, stop), or None.  A segment holds the leaves
-        (prefix, j), j in [start, stop), of a prefix with quotient Q: the leaf
-        is solvable iff Q b lies in the column span of Q B_j.  The images are
-        padded to one height and width and checked in chunks of at most
-        `BATCH_ENTRIES` entries (or one leaf), in leaf order."""
-        dmax = max(len(Q) for Q, _, _ in segments)
-        step = max(1, BATCH_ENTRIES // (max(1, dmax) * (wmax + 1)))
-        pieces = [(Q, lo, min(lo + step, stop)) for Q, start, stop in segments for lo in range(start, stop, step)]
-        done = k = 0
-        while k < len(pieces):
-            chunk, size = [], 0
-            while k < len(pieces) and size + pieces[k][2] - pieces[k][1] <= step:
-                chunk.append(pieces[k])
-                size += pieces[k][2] - pieces[k][1]
-                k += 1
-            stack = np.zeros((size, dmax, wmax), dtype=np.int64)
-            rhs = np.zeros((size, dmax), dtype=np.int64)
-            o = 0
-            for Q, lo, hi_ in chunk:
-                stack[o : o + hi_ - lo, : len(Q)] = padded_images(Q, lo, hi_)
-                rhs[o : o + hi_ - lo, : len(Q)] = Q @ target % p
-                o += hi_ - lo
-            ok = linalg.solvable_many(stack, rhs, p)
+    def first_solvable(Qs: np.ndarray, t: np.ndarray, j: np.ndarray):
+        """Position of the first solvable leaf, or None.  Leaf l is (prefix t_l,
+        entry j_l) with the prefix's quotient Qs[t_l] (see `padded_images`), and
+        it is solvable iff Q b lies in the column span of Q B_j.  The leaves
+        are checked in order, in chunks whose stacks fit `BATCH_BYTES`."""
+        T, dmax, N = Qs.shape
+        rhs = contract(target, [Qs.reshape(T * dmax, N)], p).reshape(T, dmax)
+        step = max(1, BATCH_BYTES // (ENTRY_BYTES * max(1, dmax) * (wmax + 1)))
+        for c in range(0, len(j), step):
+            tc, jc = t[c : c + step], j[c : c + step]
+            ok = linalg.solvable_many(padded_images(Qs[tc[0] : tc[-1] + 1], tc - tc[0], jc), rhs[tc], p)
             if ok.any():
-                return done + int(ok.argmax())
-            done += size
+                return c + int(ok.argmax())
         return None
 
     # [Q_parent B_i | I], one child's quotient system, has at most N x (N + wmax) entries
     child_entries = target.size * (target.size + wmax)
-    batch_kids = max(1, BATCH_ENTRIES // child_entries)
+    batch_kids = max(1, BATCH_BYTES // (ENTRY_BYTES * child_entries))
 
     def search_depth(r: int):
         nonlocal used, leaves
@@ -419,18 +421,24 @@ def prank_exact(alpha: MultilinearMap, r_max: int = 6, budget: int = DEFAULT_BUD
                 if Qp is None:
                     Shape.guard(child_entries, "prefix quotient")
                     Qp = linalg.nullspace(columns(parent).T, p) if parent else np.eye(target.size, dtype=np.int64)
-                # the children's quotients from the parent's, in one batched elimination
-                Y, basis = linalg.left_nullspace_many(padded_images(Qp, kids[0], kids[-1] + 1), p)
-                segments = [(Y[t][basis[t]] @ Qp % p, j + 1, j + 1 + len(c)) for t, (j, c) in enumerate(zip(kids, spent))]
+                # the children's quotients from the parent's: the left nullspaces of
+                # Q_p B_i in one batched elimination, then their basis rows, padded
+                # with zero rows to one height, times Q_p in one product
+                kids = np.array(kids)
+                Y, basis = linalg.left_nullspace_many(padded_images(Qp[None], np.zeros_like(kids), kids), p)
+                height = int(basis.sum(axis=1).max())
+                first = np.argsort(~basis, axis=1, kind="stable")[:, :height]  # basis rows first
+                each = np.arange(len(kids))[:, None]
+                Y = Y[each, first] * basis[each, first][:, :, None]
+                Qs = contract(Qp, [Y.reshape(-1, len(Qp))], p).reshape(len(kids), height, target.size)
+                # leaf l is (kid t_l, entry j_l), in leaf order
+                t = np.repeat(np.arange(len(kids)), [len(c) for c in spent])
+                j = np.concatenate([np.arange(kid + 1, kid + 1 + len(c)) for kid, c in zip(kids, spent)])
                 spent = np.concatenate(spent)
-                hit = first_solvable(segments)
+                hit = first_solvable(Qs, t, j)
                 if hit is not None:
                     used, leaves = int(spent[hit]), leaves + hit + 1
-                    for _, start, stop in segments:
-                        if hit < stop - start:
-                            idxs = parent + (start - 1, start + hit)
-                            break
-                        hit -= stop - start
+                    idxs = parent + (int(kids[t[hit]]), int(j[hit]))
                     x = linalg.solve(columns(idxs), target, p)
                     if x is None:
                         raise LemmaViolationError("batched span check and solve disagree on a leaf")

@@ -81,8 +81,9 @@ class PolyDense:
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         """Values at the rows of an (N, n) residue array, each product of two
-        residues formed in `residue_dtype(1, p)`."""
-        X = (X % self.p).astype(residue_dtype(1, self.p), copy=False)
+        residues formed in int64, or in Python integers where `residue_dtype(1, p)`
+        needs them: its float64 tier would make every `%` a float remainder."""
+        X = (X % self.p).astype(object if residue_dtype(1, self.p) is object else np.int64, copy=False)
         out = np.zeros(X.shape[0], dtype=X.dtype)
         for exp, c in self.terms.items():
             t = np.full(X.shape[0], c, dtype=X.dtype)

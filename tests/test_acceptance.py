@@ -33,7 +33,6 @@ from rankforge.forms import (
 )
 from rankforge.partition import (
     bilinear_strong_decomposition,
-    matrix_rank,
     prank_exact,
 )
 from rankforge.polarization import (
@@ -55,6 +54,23 @@ from rankforge.varieties import (
 )
 
 CHI_TOL = 1e-9
+
+
+def matrix_rank(M, p):
+    """Rank mod p by row reduction over Python integers, apart from `linalg`."""
+    rows = [[int(v) % p for v in row] for row in np.asarray(M)]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def form(p, dims, coeffs):

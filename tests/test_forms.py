@@ -17,7 +17,6 @@ from rankforge.forms import (
     compose_output,
     contract,
     curry_last,
-    domain_codes,
     map_from_json,
     map_to_json,
     multilinear_parts,
@@ -30,6 +29,11 @@ from rankforge.forms import (
     top_part,
     value_table,
 )
+
+
+def domain_codes(shape):
+    """Every point as a tuple of per-coordinate codes, row-major."""
+    return product(*(range(s) for s in shape.sizes))
 
 
 def domain_points(shape):
@@ -117,8 +121,6 @@ def test_evaluate_matches_oracle_everywhere():
 def test_value_table_matches_pointwise_evaluation():
     f = random_multiaffine(Shape(2, (2, 2)), 1, [55, 0])
     table = value_table(f)
-    from rankforge.forms import domain_codes
-
     for codes in domain_codes(f.shape):
         xs = [
             tuple(int(c >> j & 1) for j in range(n))
@@ -287,7 +289,9 @@ def test_kernel_exact_past_int64():
 
 
 def test_contract_dtype_bound():
-    # int64 while n (p - 1)^2 < 2^63, Python integers from there on
+    # float64 while n (p - 1)^2 < 2^53, int64 while < 2^63, Python integers from there on
+    assert residue_dtype(1, 94906266) is np.float64 and residue_dtype(1, 94906267) is np.int64
+    assert residue_dtype(2, 2 ** 26) is np.float64 and residue_dtype(2, 2 ** 26 + 1) is np.int64
     assert residue_dtype(2, 2 ** 31) is np.int64 and residue_dtype(2, 2 ** 31 + 1) is object
     assert residue_dtype(1, 3037000500) is np.int64 and residue_dtype(1, 3037000501) is object
     p = 3037000493  # prime, (p - 1)^2 < 2^63 < 2 (p - 1)^2
@@ -297,6 +301,33 @@ def test_contract_dtype_bound():
     assert got.dtype == np.int64 and got.shape == (2, 1)
     assert got[:, 0].tolist() == [2 * (p - 1) ** 2 % p, (p - 1 + (p - 1) ** 2) % p]
     assert contract(C[:1], [M[:, :1]], p)[:, 0].tolist() == [1, p - 1]
+
+
+def contract_oracle(C, mats, p):
+    """`contract` in Python integers: one object-dtype product per axis."""
+    T = C.astype(object).reshape(1, -1)
+    for M in mats:
+        T = T.reshape(T.shape[0], M.shape[1], -1)
+        T = np.concatenate([M.astype(object) @ t for t in T]) % p
+    return T.tolist()
+
+
+def test_contract_float_tier_edges():
+    # float64 while n (p - 1)^2 < 2^53, then int64; the primes sit on both sides of
+    # that bound for n = 1 and 2, and past it a float64 sum of (p-2)^2 + ... would round
+    assert residue_dtype(2 ** 53 - 1, 2) is np.float64 and residue_dtype(2 ** 53, 2) is np.int64
+    rng = np.random.default_rng(53)
+    C, mats = rng.integers(0, 2, size=(3, 4, 2)), [rng.integers(0, 2, size=(5, 3)), rng.integers(0, 2, size=(6, 4))]
+    assert contract(C, mats, 2).tolist() == contract_oracle(C, mats, 2)
+    for n, below, above in [(1, 94906249, 94906297), (2, 67108859, 67108879)]:
+        for p, tier in [(below, np.float64), (above, np.int64)]:
+            assert residue_dtype(n, p) is tier
+            top = np.array([p - 2, p - 1][:n])
+            C = np.stack([top, np.full(n, p - 1)], axis=1)
+            M = np.stack([top, np.full(n, p - 1), np.ones(n, dtype=np.int64)])
+            assert contract(C, [M], p).tolist() == contract_oracle(C, [M], p)
+            C3, M2 = rng.integers(p - 3, p, size=(n, n, 2)), rng.integers(p - 3, p, size=(4, n))
+            assert contract(C3, [M, M2], p).tolist() == contract_oracle(C3, [M, M2], p)
 
 
 def parts_oracle(f):

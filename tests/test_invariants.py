@@ -106,10 +106,10 @@ def _nodes_with_scope(tree):
 
 
 def test_one_part_contraction():
-    # every part of a map is evaluated by forms.contract; numpy's contraction
-    # routines appear only there, in the complex box-norm average and in the
-    # prefix-quotient images of the partition-rank search
-    allowed = {"forms.py:contract", "analytic.py:_box_average", "partition.py:_Side.images"}
+    # every part of a map, and every product of the partition-rank search, is
+    # evaluated by forms.contract; numpy's contraction routines appear only there
+    # and in the complex box-norm average
+    allowed = {"forms.py:contract", "analytic.py:_box_average"}
     found, callers = set(), set()
     for path in sorted(Path(rankforge.__file__).parent.glob("*.py")):
         for scope, node in _nodes_with_scope(ast.parse(path.read_text(), str(path))):
@@ -120,6 +120,7 @@ def test_one_part_contraction():
                 callers.add(f"{path.name}:{scope}")
     assert found <= allowed, f"numpy contractions outside the kernel at {sorted(found - allowed)}"
     users = {"forms.py:part_grid", "forms.py:_evaluate", "forms.py:slice_map", "forms.py:compose_output",
-             "analytic.py:_slice_stack"}
+             "analytic.py:_slice_stack", "partition.py:_Side.images", "partition.py:prank_exact.first_solvable",
+             "partition.py:prank_exact.search_depth"}
     assert users <= callers, f"{sorted(users - callers)} no longer call forms.contract"
     assert MultilinearMap.evaluate is MultiaffineMap.evaluate

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankforge import linalg
+from rankforge import linalg, partition
 from rankforge.analytic import exact_bias
 from rankforge.cli import main
 from rankforge.errors import LemmaViolationError
@@ -24,10 +24,26 @@ from rankforge.partition import (
     flatten,
     is_partition_rank_le1,
     lovett_lower_bound,
-    matrix_rank,
     monomial_decomposition,
     prank_exact,
 )
+
+
+def matrix_rank(M, p):
+    """Rank mod p by row reduction over Python integers, apart from `linalg`."""
+    rows = [[int(v) % p for v in row] for row in np.asarray(M)]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def form(p, dims, coeffs):
@@ -422,6 +438,9 @@ SEARCH_SHAPES = [(2, (2, 2, 2)), (3, (2, 2, 2)), (3, (3, 3)), (2, (4, 4)), (2, (
 @example((2, (3, 3, 4)), 2, 1, 6_000)
 @example((3, (3, 3, 3)), None, 1, 6_000)
 @example((2, (3, 3, 3, 3)), None, 0, 2_000)
+@example((2, (4, 4, 4)), 2, 7, 6_000)
+@example((2, (4, 4, 4)), 3, 65, 10_000)
+@example((2, (4, 4, 4)), None, 0, 3_000)  # spent inside the second child of a batch of 12
 def test_prank_matches_per_leaf_oracle(shape, planted, seed, budget):
     p, dims = shape
     f = random_multilinear(Shape(p, dims), 1, [43, seed]) if planted is None else planted_form(p, dims, planted, seed)
@@ -440,6 +459,17 @@ def test_prank_leaves_counted_apart_from_units():
     assert report_key(rep) == report_key(prank_per_leaf_oracle(f))
     assert prank_exact(xyz()).leaves == 1
     assert prank_exact(form(2, (2, 2), np.zeros(4))).leaves == 0
+
+
+def test_batch_size_changes_nothing(monkeypatch):
+    # one leaf per elimination and one child quotient per product give the reports
+    # of the default byte budget, found or cut short by the budget
+    cases = [(planted_form(2, (4, 4, 4), 3, 65), DEFAULT_BUDGET), (planted_form(3, (3, 3, 3), 3, 1), DEFAULT_BUDGET),
+             (random_multilinear(Shape(2, (4, 4, 4)), 1, [43, 0]), 3_000),
+             (random_multilinear(Shape(2, (3, 3, 4)), 1, [43, 2]), DEFAULT_BUDGET)]
+    default = [report_key(prank_exact(f, budget=b)) for f, b in cases]
+    monkeypatch.setattr(partition, "BATCH_BYTES", 1)
+    assert [report_key(prank_exact(f, budget=b)) for f, b in cases] == default
 
 
 def test_solve_disagreement_is_a_lemma_violation(monkeypatch):

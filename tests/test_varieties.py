@@ -17,7 +17,6 @@ from rankforge.forms import (
     as_multiaffine,
     code_to_vec,
     compose_output,
-    domain_codes,
     random_multiaffine,
     random_multilinear,
     slice_map,
@@ -515,7 +514,7 @@ def test_nonzero_conn_with_gammas():
     member_size = rep.set_size
     # oracle: points with x_1[0] = 0 and x.y != 0
     cnt = 0
-    for codes in domain_codes(sh):
+    for codes in product(*(range(s) for s in sh.sizes)):
         x = [int(codes[0] >> j & 1) for j in range(3)]
         y = [int(codes[1] >> j & 1) for j in range(3)]
         if x[0] == 0 and sum(a * b for a, b in zip(x, y)) % 2 == 1:
@@ -710,7 +709,7 @@ def test_nonzero_conn_full_support_gamma_twists():
     assert rep.max_bias >= Fraction(1, 8)  # the untwisted bias is 2^-3
     # oracle: set size = |{x.y = 0 (for gamma) and x.Iy != 0}|
     cnt = 0
-    for codes in domain_codes(Shape(2, (3, 3))):
+    for codes in product(*(range(s) for s in Shape(2, (3, 3)).sizes)):
         x = [codes[0] >> j & 1 for j in range(3)]
         y = [codes[1] >> j & 1 for j in range(3)]
         g = sum(x) * sum(y) % 2
