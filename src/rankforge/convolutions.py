@@ -5,8 +5,9 @@ Indicator inputs stay exact: a table is stored as an integer numerator grid
 with one common denominator, and convolving multiplies the denominator by
 |G_i| times itself.  Complex tables take the floating path.
 
-Every exact convolution and arrangement table is one autocorrelation
-R(a) = sum_b f(a + b) f(b) along one axis (`_autocorrelate`).  Over F_2 the
+Every exact convolution and arrangement table, and the last difference step
+of `polarization.cs_amplification_check`, is one autocorrelation
+R(a) = sum_b f(a + b) f(b) along one axis (`autocorrelate`).  Over F_2 the
 codes add by XOR, so the Walsh-Hadamard transform H diagonalizes it and
 H((Hf)^2) = |G_i| R, computed exactly in int64 with |G| * 2 log2 |G_i|
 additions while |G_i|^2 max|f|^2 < 2^63.  Otherwise (p > 2, or past that
@@ -121,7 +122,7 @@ def _hadamard(h: np.ndarray, spare: np.ndarray, axis: int, n: int) -> None:
         np.copyto(h, src)
 
 
-def _autocorrelate(num: np.ndarray, axis: int, p: int, n: int) -> np.ndarray:
+def autocorrelate(num: np.ndarray, axis: int, p: int, n: int) -> np.ndarray:
     """R[.., a, ..] = sum_b num[.., a + b, ..] * num[.., b, ..] along `axis`,
     where codes add in F_p^n; exact in int64.
 
@@ -154,7 +155,7 @@ def _autocorrelate(num: np.ndarray, axis: int, p: int, n: int) -> np.ndarray:
 def conv_dir(t: DomainTable, i: int) -> DomainTable:
     """Convolution in direction i: averages f(.., y + x_i, ..) conj f(.., y, ..) over y.
 
-    An exact table's numerator is `_autocorrelate`d (a Walsh-Hadamard
+    An exact table's numerator is `autocorrelate`d (a Walsh-Hadamard
     transform at p = 2 while its int64 bound holds, the addition-table gather
     otherwise) over the denominator den^2 |G_i|; a complex table is gathered.
     CONV_GUARD bounds |G| * |G_i| on every route."""
@@ -168,7 +169,7 @@ def conv_dir(t: DomainTable, i: int) -> DomainTable:
         new_den = t.den * t.den * size
         if new_den > DEN_GUARD:
             raise OverflowError("exact denominator exceeds the 64-bit guard")
-        num = _autocorrelate(t.num, ax, shape.p, shape.dims[ax])
+        num = autocorrelate(t.num, ax, shape.p, shape.dims[ax])
         return DomainTable(shape, num=num, den=new_den)
     add = addition_table(shape.p, shape.dims[ax])
     shifted = np.take(t.cvals, add, axis=ax)
@@ -223,7 +224,7 @@ def arrangement_count_tables(shape: Shape, member: np.ndarray, i: int) -> list[n
         raise OverflowError("arrangement counts exceed the 64-bit guard")
     tables = [member.astype(np.int64)]
     for lvl in range(1, i + 1):
-        tables.append(_autocorrelate(tables[-1], lvl - 1, shape.p, shape.dims[lvl - 1]))
+        tables.append(autocorrelate(tables[-1], lvl - 1, shape.p, shape.dims[lvl - 1]))
     return tables
 
 

@@ -3,8 +3,9 @@
 The bridge requires d < p so that d! is invertible; the form is built by
 signed finite differencing of the top-degree part on basis tuples.  The
 amplification check relates |E chi(f)| to the bias of the form through the
-iterated-squaring average, and the substitution step turns a partition
-decomposition of the form into a product representation of the polynomial.
+iterated-squaring average, whose signed-sum values it counts without
+tabling them, and the substitution step turns a partition decomposition of
+the form into a product representation of the polynomial.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analytic import CHI_TOL, ValueHistogram, exact_bias
+from .convolutions import autocorrelate
 from .errors import LemmaViolationError
 from .field import PrimeField, is_prime
 from .forms import (
@@ -199,7 +201,8 @@ def polarize(f: PolyDense, degree: int | None = None) -> SymmetricForm:
 
 def difference_table(f: PolyDense, d: int | None = None) -> np.ndarray:
     """Values of the signed subset sum of f over shifts x + sum_{i in S} y^i,
-    S over subsets of [d-1], on the full (x, y^1..y^{d-1}) domain.
+    S over subsets of [d-1], on the full (x, y^1..y^{d-1}) domain; d = 1
+    gives f's value table on F_p^n.
 
     Entry c of the flat int64 result belongs to the point whose base-p digits
     of c are x (lowest n digits), then y^1, y^2, ...  The sum is the iterated
@@ -207,15 +210,17 @@ def difference_table(f: PolyDense, d: int | None = None) -> np.ndarray:
     gathering the previous table through `addition_table(p, n)`; f is
     evaluated only on F_p^n.
     Besides the cached p^(2n) addition table, the last step holds the result
-    (N = p^(nd) words) and a table p^n times smaller."""
+    (N = p^(nd) words) and a table p^n times smaller.  `signed_sum_counts`
+    counts the values of this table without its last step; the enumerated
+    table stays as its oracle."""
     d = f.degree if d is None else d
-    if d < 2:
-        raise ValueError("the difference table needs degree >= 2")
+    if d < 1:
+        raise ValueError("the difference table needs d >= 1")
     p, n = f.p, f.n
     N = p ** (n * d)
     Shape.guard(N, "difference table")
-    add = addition_table(p, n)
     table = f.evaluate_many(digit_matrix(p, n)).reshape(1, p ** n)  # rows: the y's added so far; columns: x
+    add = addition_table(p, n) if d > 1 else None  # d = 1 builds no p^(2n) table
     for _ in range(d - 1):
         # the y added now lands just above x, so y^1, added last, sits lowest
         step = np.take(table, add, axis=1)  # [Y, y, x] -> table[Y, x + y]
@@ -223,6 +228,32 @@ def difference_table(f: PolyDense, d: int | None = None) -> np.ndarray:
         step %= p
         table = step.reshape(-1, p ** n)
     return table.reshape(N)
+
+
+def signed_sum_counts(f: PolyDense, d: int | None = None) -> np.ndarray:
+    """Value counts of `difference_table(f, d)`, the (p,) int64 array that
+    `np.bincount(difference_table(f, d), minlength=p)` gives, for d >= 2,
+    counted without building the p^(nd) table.
+
+    Row Y of g = difference_table(f, d - 1), R = p^(n(d-2)) rows of p^n
+    values, is a function g_Y of x, and the last step is g_Y(x + y) - g_Y(x).
+    As (x, y) runs over F_p^n x F_p^n, (x, x + y) runs over all pairs, so the
+    count of value v is sum_Y sum_b H[Y, v + b] H[Y, b], where H[Y] is the
+    value histogram of row Y: the cyclic self-correlation that
+    `convolutions.autocorrelate` computes along the value axis.
+    The guards count the R * p^n table and the R * p * p gather of the pair
+    count, the pair count first, so a large p at n = 1 is refused before any
+    p-sized table is built; for d >= 2 both are at most p^(nd)."""
+    d = f.degree if d is None else d
+    if d < 2:
+        raise ValueError("the signed sum needs d >= 2")
+    p, n = f.p, f.n
+    rows = p ** (n * (d - 2))
+    Shape.guard(rows * p * p, "signed-sum pair count")
+    table = difference_table(f, d - 1).reshape(rows, p ** n)
+    table += np.arange(0, rows * p, p)[:, None]  # row Y's values land in bins Y p .. Y p + p - 1
+    hist = np.bincount(table.reshape(-1), minlength=rows * p).reshape(rows, p)
+    return autocorrelate(hist, 1, p, 1).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -234,9 +265,11 @@ class AmplificationReport:
 
 
 def cs_amplification_check(f: PolyDense) -> AmplificationReport:
-    """Both displayed bounds of the amplification chain, exactly enumerated:
+    """Both displayed bounds of the amplification chain, exactly counted:
     |E chi(f)|^(2^(d-1)) <= E chi(signed sum), and
-    bias(form) >= |E chi(f)|^(2^(2d-2)), each up to the chi tolerance."""
+    bias(form) >= |E chi(f)|^(2^(2d-2)), each up to the chi tolerance.
+    E chi(signed sum) is read from `signed_sum_counts` over all p^(nd)
+    points (x, y^1..y^{d-1}), without building their table."""
     if f.is_zero():
         return AmplificationReport(1.0, 1.0, Fraction(1), True)
     d = f.degree
@@ -245,15 +278,14 @@ def cs_amplification_check(f: PolyDense) -> AmplificationReport:
     if d >= f.p:
         raise ValueError(f"degree {d} is not below the characteristic {f.p}")
     p, n = f.p, f.n
-    diffs = difference_table(f, d)  # guards p^(nd) >= p^n >= p before the tables below
+    counts = signed_sum_counts(f, d)  # guards R p^2 and R p^n, both >= p, before the tables below
     field = PrimeField(p)
 
     fvals = f.evaluate_many(digit_matrix(p, n))
     bias_f = complex(field.char_table[fvals].mean())
     c_pow = abs(bias_f) ** (1 << (d - 1))
 
-    counts = np.bincount(diffs, minlength=p)
-    mid = ValueHistogram(p, tuple(counts.tolist()), diffs.size).chi_average(field)
+    mid = ValueHistogram(p, tuple(counts.tolist()), p ** (n * d)).chi_average(field)
     if abs(mid.imag) > CHI_TOL:
         raise LemmaViolationError(f"signed-sum average {mid} is not real")
     mid_real = mid.real

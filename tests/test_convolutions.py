@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -140,6 +141,49 @@ def test_conv_int64_bounds():
     # |-2^63| is read as 2^63, where np.abs would wrap to -2^63
     with pytest.raises(OverflowError):
         conv_dir(DomainTable(sh, num=np.array([-(1 << 63), 0]), den=1), 1)
+
+
+def _autocorrelate_oracle(num, axis, p, n):
+    """R[.., a, ..] = sum_b num[.., a + b, ..] num[.., b, ..] by a double loop
+    over codes a, b, added digit by digit in Python integers."""
+    def add(a, b):
+        return sum((((a // p ** j) + (b // p ** j)) % p) * p ** j for j in range(n))
+
+    src = np.moveaxis(num.astype(object), axis, 0)
+    out = np.zeros_like(src)
+    for a in range(p ** n):
+        for b in range(p ** n):
+            out[a] += src[add(a, b)] * src[b]
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("p, n, lead, trail", [(3, 1, (4,), ()), (3, 2, (2,), (3,)), (5, 1, (), (2, 2)),
+                                               (2, 1, (3,), ()), (2, 3, (2,), (2,)), (2, 2, (), ())])
+def test_autocorrelate_matches_double_loop(monkeypatch, p, n, lead, trail):
+    # p > 2 gathers through the addition table, p = 2 takes the Hadamard route
+    transforms = []
+    real = convolutions._hadamard
+    monkeypatch.setattr(convolutions, "_hadamard", lambda *a: (transforms.append(a[2]), real(*a)))
+    rng = np.random.default_rng([79, p, n])
+    for signed in (False, True):
+        num = rng.integers(-50 if signed else 0, 51, lead + (p ** n,) + trail)
+        out = convolutions.autocorrelate(num, len(lead), p, n)
+        assert out.dtype == np.int64 and out.shape == num.shape
+        assert out.tolist() == _autocorrelate_oracle(num, len(lead), p, n).tolist()
+    assert len(transforms) == (4 if p == 2 else 0)
+
+
+def test_autocorrelate_int64_bound():
+    # the gather is exact while p^n M^2 < 2^63 and refused from there on
+    for p, n in [(3, 1), (5, 1), (3, 2), (2, 1)]:
+        size = p ** n
+        M = math.isqrt(((1 << 63) - 1) // size)
+        num = np.zeros(size, dtype=np.int64)
+        num[0] = num[-1] = M
+        assert convolutions.autocorrelate(num, 0, p, n).tolist() == _autocorrelate_oracle(num, 0, p, n).tolist()
+        num[-1] = M + 1
+        with pytest.raises(OverflowError):
+            convolutions.autocorrelate(num, 0, p, n)
 
 
 def test_conv_checks_the_hadamard_divisibility(monkeypatch):

@@ -15,7 +15,9 @@ FORM = random_multilinear(SHAPE, 1, [40, 0])
 AFFINE = random_multiaffine(SHAPE, 1, [40, 1])
 VARIETY = varieties.Variety(random_multiaffine(SHAPE, 2, [40, 2]))
 LAYERS = varieties.LayerFamily(VARIETY.defining_map, [(0, 0), (1, 0)])
-POLY = polarization.PolyDense(3, 2, {(2, 0): 1, (1, 1): 2})  # difference table 3^4 points
+# difference table 3^4 points; the amplification check counts its values from
+# 3^2 values and a 3 x 3 pair count
+POLY = polarization.PolyDense(3, 2, {(2, 0): 1, (1, 1): 2})
 DECOMP = partition.monomial_decomposition(polarization.polarize(POLY).form)  # checked on 3^2 points
 
 
@@ -42,7 +44,8 @@ CASES = {
     "lovett_lower_bound": (24, lambda: partition.lovett_lower_bound(FORM)),
     "prank_exact": (24, lambda: partition.prank_exact(FORM)),
     "difference_table": (81, lambda: polarization.difference_table(POLY)),
-    "cs_amplification_check": (81, lambda: polarization.cs_amplification_check(POLY)),
+    "signed_sum_counts": (9, lambda: polarization.signed_sum_counts(POLY)),
+    "cs_amplification_check": (9, lambda: polarization.cs_amplification_check(POLY)),
     "substitute_decomposition": (9, lambda: polarization.substitute_decomposition(DECOMP)),
     "Variety.table": (128, lambda: VARIETY.table()),
     "Variety.size": (128, lambda: VARIETY.size()),
@@ -117,3 +120,19 @@ def test_large_prime_refused_before_any_p_sized_table(monkeypatch, name):
     }[name]
     with pytest.raises((DomainSizeError, OverflowError)):
         call()
+
+
+def test_cs_check_pair_count_refused_before_any_p_sized_table(monkeypatch):
+    # at n = 1 the degree-2 value table has p <= 2^22 points, but the pair count
+    # gathers p^2: it is refused before f is evaluated or any p- or p^2-sized
+    # table (values, histogram, addition table, characters) is built
+    def built(*args, **kwargs):
+        raise AssertionError("table built before the pair-count guard")
+
+    for name in ["PrimeField", "difference_table", "autocorrelate", "digit_matrix", "addition_table"]:
+        monkeypatch.setattr(polarization, name, built)
+    monkeypatch.setattr(polarization.PolyDense, "evaluate_many", built)
+    p = 4194301  # the largest prime below 2^22
+    with pytest.raises(DomainSizeError) as err:
+        polarization.cs_amplification_check(polarization.PolyDense(p, 1, {(2,): 1}))
+    assert (err.value.needed, err.value.limit) == (p * p, forms.DEFAULT_ENUM_GUARD)

@@ -9,15 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankforge import forms
+from rankforge.analytic import CHI_TOL, ValueHistogram, exact_bias
 from rankforge.cli import main
 from rankforge.errors import DomainSizeError
 from rankforge.forms import digit_matrix
 from rankforge.partition import prank_exact
 from rankforge.polarization import (
+    AmplificationReport,
     PolyDense,
     cs_amplification_check,
     difference_table,
     polarize,
+    signed_sum_counts,
     substitute_decomposition,
 )
 from rankforge.field import PrimeField
@@ -236,11 +239,37 @@ def poly_and_degree(draw):
 @given(poly_and_degree())
 @example((PolyDense(5, 2, {(2, 1): 3, (1, 0): 2, (0, 0): 4}), 4))
 @example((PolyDense(7, 2, {(1, 1): 1, (0, 1): 5}), 3))  # d > f.degree
+@example((PolyDense(5, 2, {(2, 1): 3, (1, 0): 2}), 1))  # d = 1: f's value table
 def test_difference_table_matches_oracle(case):
     f, d = case
     table = difference_table(f, d)
     oracle = _subset_sum_oracle(f, d)
     assert table.dtype == oracle.dtype and np.array_equal(table, oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_and_degree())
+@example((PolyDense(5, 2, {(2, 1): 3, (1, 0): 2, (0, 0): 4}), 4))
+@example((PolyDense(7, 2, {(1, 1): 1, (0, 1): 5}), 3))  # d > f.degree
+@example((PolyDense(5, 2, {(1, 1): 1, (0, 1): 3}), 4))
+@example((PolyDense(101, 1, {(3,): 7, (2,): 50, (1,): 1}), 3))  # n = 1: a p x p pair count
+@example((PolyDense(11, 1, {(4,): 2, (3,): 9, (0,): 1}), 4))
+@example((PolyDense(5, 3, {}), 3))  # the zero polynomial: every sum is 0
+@example((PolyDense(2, 3, {(1, 1, 1): 1, (1, 0, 0): 1}), 3))  # p = 2: the Hadamard route
+def test_signed_sum_counts_match_difference_table(case):
+    f, d = case
+    counts = signed_sum_counts(f, d)
+    oracle = np.bincount(difference_table(f, d), minlength=f.p)
+    assert counts.dtype == oracle.dtype and np.array_equal(counts, oracle)
+
+
+def test_signed_sum_counts_degree():
+    f = PolyDense(5, 2, {(2, 1): 3})
+    assert np.array_equal(signed_sum_counts(f), np.bincount(difference_table(f, 3), minlength=5))
+    with pytest.raises(ValueError):
+        signed_sum_counts(f, 1)
+    with pytest.raises(ValueError):
+        difference_table(f, 0)
 
 
 def test_difference_table_layout():
@@ -271,6 +300,58 @@ def test_amplification_example_f3_xy():
 def test_amplification_zero_poly():
     rep = cs_amplification_check(PolyDense(3, 2, {}))
     assert rep.ok and rep.form_bias == 1
+
+
+def _enumerated_amplification(f):
+    """The amplification check with the signed sum enumerated on all p^(nd)
+    points of `difference_table`, as it was before its values were counted."""
+    d, p, n = f.degree, f.p, f.n
+    diffs = difference_table(f, d)
+    field = PrimeField(p)
+    fvals = f.evaluate_many(digit_matrix(p, n))
+    bias_f = complex(field.char_table[fvals].mean())
+    c_pow = abs(bias_f) ** (1 << (d - 1))
+    counts = np.bincount(diffs, minlength=p)
+    mid = ValueHistogram(p, tuple(counts.tolist()), diffs.size).chi_average(field)
+    b_alpha = exact_bias(polarize(f, d).form)
+    ok = c_pow <= mid.real + CHI_TOL and float(b_alpha) >= abs(bias_f) ** (1 << (2 * d - 2)) - CHI_TOL
+    return AmplificationReport(c_pow, mid.real, b_alpha, ok)
+
+
+def _poly_of_each_degree(rng, p, n, d, per_degree=2):
+    """`per_degree` seeded monomials of each degree 1..d."""
+    terms = {}
+    for k in range(1, d + 1):
+        mons = [e for e in product(range(p), repeat=n) if sum(e) == k]
+        for i in rng.choice(len(mons), size=min(per_degree, len(mons)), replace=False):
+            terms[mons[i]] = int(rng.integers(1, p))
+    return PolyDense(p, n, terms)
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 2), (3, 4, 2), (5, 3, 2), (5, 2, 3), (7, 3, 2),
+                                   (7, 2, 3), (5, 2, 4), (5, 3, 3)])
+def test_counted_amplification_matches_enumerated(shape):
+    # every field equal, floats compared by ==: the counts, and so every float
+    # computed from them, are the same as the enumerated route's
+    p, n, d = shape
+    for seed in range(4):
+        rng = np.random.default_rng([211, p, n, d, seed])
+        for f in (_poly_of_each_degree(rng, p, n, d), random_homogeneous(p, n, d, [212, seed])):
+            if f.degree < 2:
+                continue
+            rep, oracle = cs_amplification_check(f), _enumerated_amplification(f)
+            assert rep == oracle and rep.ok
+            assert (rep.abs_bias_power, rep.signed_sum_mean) == (oracle.abs_bias_power, oracle.signed_sum_mean)
+
+
+def test_amplification_past_the_difference_table_guard():
+    # 5^12 points (x, y^1, y^2): the enumerated table is refused, the counts
+    # need a 5^8 table and a 5^4 x 5 x 5 pair count
+    f = _poly_of_each_degree(np.random.default_rng([213, 0]), 5, 4, 3)
+    with pytest.raises(DomainSizeError):
+        difference_table(f, 3)
+    assert sum(signed_sum_counts(f).tolist()) == 5 ** 12
+    assert cs_amplification_check(f).ok
 
 
 def test_amplification_random():
@@ -315,7 +396,7 @@ def test_substitute_zero():
 
 
 def test_cs_check_guard_before_character_table():
-    # the difference table's guard refuses p^(nd) points before any O(p) table is built
+    # the pair count's guard refuses its p^2 gather before any O(p) table is built
     f = PolyDense(2 ** 61 - 1, 1, {(2,): 1})
     with pytest.raises(DomainSizeError):
         cs_amplification_check(f)
