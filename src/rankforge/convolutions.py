@@ -29,6 +29,7 @@ from .forms import (
     Map,
     Shape,
     addition_table,
+    codes_to_point,
     scalar_table,
     zero_set_table,
 )
@@ -380,8 +381,6 @@ class VanishingPropagationReport:
 def vanishing_propagation_check(A: Map, arr: Arrangement) -> VanishingPropagationReport:
     """If every point of the arrangement lies in {A = 0}, then A vanishes at
     the lengths tuple (linearity in each convolved coordinate)."""
-    from .forms import codes_to_point
-
     shape = A.shape
     premise = all(
         not A.evaluate(codes_to_point(shape, pt)).any() for pt in arr.points

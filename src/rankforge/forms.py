@@ -126,6 +126,18 @@ def codes_to_point(shape: Shape, codes) -> tuple[tuple[int, ...], ...]:
     return tuple(code_to_vec(shape.p, n, c) for n, c in zip(shape.dims, codes))
 
 
+def normalized_vectors(p: int, n: int) -> np.ndarray:
+    """Every vector of F_p^n whose first nonzero entry is 1, one per row, in
+    row-major lexicographic order (most significant digit first): one point
+    of each line through 0.  Their codes are [q, 2q) for q = p^0, ..., p^(n-1).
+    Entries take the narrowest unsigned type that holds p - 1 (a byte at p < 257)."""
+    codes = np.concatenate([np.arange(q, 2 * q, dtype=np.int64) for q in (p ** e for e in range(n))])
+    out = np.empty((len(codes), n), dtype=np.min_scalar_type(p - 1))
+    for t in range(n):
+        out[:, t] = codes // p ** (n - 1 - t) % p
+    return out
+
+
 def residue_dtype(n: int, p: int):
     """The cheapest dtype in which a sum of n products of residues mod p is
     exact: float64 while n (p-1)^2 < 2^53, int64 while n (p-1)^2 < 2^63, and
@@ -466,7 +478,7 @@ def stack_maps(maps) -> MultiaffineMap:
 #  Random ensembles
 # ---------------------------------------------------------------------------
 
-def _subsets(k: int):
+def subsets(k: int):
     """All subsets of [k] in the fixed generation order (by size, then lex)."""
     for size in range(k + 1):
         yield from (frozenset(c) for c in combinations(range(1, k + 1), size))
@@ -487,7 +499,7 @@ def random_multiaffine(shape: Shape, m: int, seed) -> MultiaffineMap:
         raise ValueError("target dimension must be >= 1")
     rng = np.random.default_rng(seed)
     parts = {}
-    for I in _subsets(shape.k):
+    for I in subsets(shape.k):
         want = tuple(shape.dims[i - 1] for i in sorted(I)) + (m,)
         parts[I] = rng.integers(0, shape.p, size=want, dtype=np.int64)
     return MultiaffineMap(shape, m, parts)

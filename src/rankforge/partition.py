@@ -3,10 +3,10 @@ the analytic lower bound, and the constructive bilinear decomposition.
 
 The search runs iterative deepening over combinations of candidate summands.
 A candidate fixes the bipartition I | [k]-I (canonically 1 in I) and one
-factor, enumerated up to scalar normalization (first nonzero coefficient 1,
-row-major); its block B holds the products of that factor with every basis
-vector of the free side, so a combination reaches the target b iff
-[B_1 | ... | B_r] x = b is solvable.  For each bipartition the factor side
+factor, enumerated up to scalar normalization (`forms.normalized_vectors`:
+first nonzero coefficient 1, row-major); its block B holds the products of
+that factor with every basis vector of the free side, so a combination
+reaches the target b iff [B_1 | ... | B_r] x = b is solvable.  For each bipartition the factor side
 with the smaller coefficient space is enumerated, which keeps the pool
 complete whenever one side is desk-scale.  The pool stores only the factors.
 
@@ -45,7 +45,7 @@ import numpy as np
 from . import linalg
 from .analytic import ceil_neg_log, exact_bias
 from .errors import LemmaViolationError
-from .forms import MultilinearMap, Shape, contract
+from .forms import MultilinearMap, Shape, contract, normalized_vectors
 
 MODE_CAP = 4096          # normalized factors enumerable per bipartition side
 DEFAULT_BUDGET = 200_000  # solver unknowns, summed over the leaves checked
@@ -180,15 +180,6 @@ def lovett_lower_bound(alpha: MultilinearMap) -> int:
 #  Candidate pool: the normalized factors of one side per bipartition
 # ---------------------------------------------------------------------------
 
-def _normalized_factors(p: int, count: int) -> np.ndarray:
-    """Every coefficient vector of the given length whose first nonzero entry
-    is 1, one per row, in row-major lexicographic order (most significant
-    digit first).  Their codes are [q, 2q) for q = p^0, p^1, ..., ascending."""
-    codes = np.concatenate([np.arange(q, 2 * q, dtype=np.int64) for q in (p ** e for e in range(count))])
-    powers = np.array([p ** (count - 1 - t) for t in range(count)], dtype=np.int64)
-    return codes[:, None] // powers % p
-
-
 @dataclass(frozen=True)
 class _Side:
     """The pool entries of one bipartition I | [k]-I: every normalized factor
@@ -247,7 +238,7 @@ def _build_pool(shape: Shape):
             continue
         enum_on_subset = count_I <= count_C
         n_side, width = (nb, ng) if enum_on_subset else (ng, nb)
-        sides.append(_Side(I, enum_on_subset, _normalized_factors(p, n_side), width))
+        sides.append(_Side(I, enum_on_subset, normalized_vectors(p, n_side), width))
     return sides, complete
 
 

@@ -4,11 +4,12 @@ coordinate-change graph, the quasirandomness-implies-connectivity check, the
 dot-product solvability criterion, and homogenization of a variety inside the
 zero set of a multilinear map.
 
-Densities of large domains are counted from the slice histograms of the
-scalar maps s.f (`analytic.level_set_count`), so no point is enumerated;
-small domains and high codimensions are enumerated, whichever is cheaper.
-The membership grid `Variety.table()` is the counted route's test oracle and
-serves every other routine here.
+Densities of large domains are counted from one slice stack of f's
+components, read for every line s.f (`analytic.level_set_count`), so no
+point is enumerated; small domains and high codimensions are enumerated,
+whichever is cheaper.  The twisted biases of `nonzero_conn_check` are read
+from one stack the same way.  The membership grid `Variety.table()` is the
+counted route's test oracle and serves every other routine here.
 
 The coordinate-change graph on G_[k] joins two points iff they differ in
 exactly one coordinate.  BFS over it is run implicitly on boolean grids: one
@@ -25,14 +26,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import forms, linalg
-from .analytic import exact_bias, level_set_count, slice_stack_entries
+from .analytic import ceil_neg_log, level_set_count, slice_counts, slice_stack_entries, vanishing_counts
 from .errors import LemmaViolationError
 from .forms import (
     Map,
     MultilinearMap,
     Shape,
     as_multiaffine,
-    code_to_vec,
+    codes_to_point,
     compose_output,
     digit_matrix,
     part_grid,
@@ -45,7 +46,7 @@ TRAVERSAL_GUARD = 1 << 21
 EXTRA_SWEEPS = 2                       # eccentricity samples after the double sweep
 EXACT_DIAMETER_WORK_CAP = 30_000_000   # uint64 word operations per BFS level
 BFS_STATE_WORDS = 1 << 21              # words in one bit-parallel state array (16 MB)
-HISTOGRAM_POINTS = 1 << 11             # enumerated points that take about as long as one slice histogram
+HISTOGRAM_POINTS = 1 << 7              # enumerated points that cost about as much as one counted line
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +115,18 @@ class LayerFamily:
 
 
 def density(V: Variety) -> Fraction:
-    """|V| / |G|.  |V| is counted from (p^m - 1)/(p - 1) slice histograms
-    (`level_set_count`) when that is cheaper than enumerating the |G| points,
-    at HISTOGRAM_POINTS points per histogram, or when the value table would
-    be refused; otherwise it is enumerated (`V.size()`, also the counted
-    route's test oracle).  Where the table is admitted, counting is chosen
-    only if p^m, p and every slice stack are at most |G| and the slice
-    stacks of all the histograms together are within the guard, so it
+    """|V| / |G|.  |V| is counted from the (p^m - 1)/(p - 1) lines through 0
+    of F_p^m (`level_set_count`) when that is cheaper than enumerating the
+    |G| points, at HISTOGRAM_POINTS points per line, or when the value table
+    would be refused; otherwise it is enumerated (`V.size()`, also the
+    counted route's test oracle).  Where the table is admitted, counting is
+    chosen only if the lines, at least p^(m-1), fall below |G|, so p^m is at
+    most |G|, and their slice stacks together are within the guard, so it
     refuses no input that enumeration answers."""
     shape, p = V.shape, V.shape.p
-    histograms = (p ** V.codim - 1) // (p - 1)
-    costly = (histograms * HISTOGRAM_POINTS > shape.domain_size
-              or histograms * slice_stack_entries(shape) > forms.DEFAULT_ENUM_GUARD)
+    lines = (p ** V.codim - 1) // (p - 1)
+    costly = (lines * HISTOGRAM_POINTS > shape.domain_size
+              or lines * slice_stack_entries(shape) > forms.DEFAULT_ENUM_GUARD)
     if costly and shape.domain_size <= forms.DEFAULT_ENUM_GUARD:
         return Fraction(V.size(), shape.domain_size)
     return Fraction(level_set_count(V.defining_map, V.value), shape.domain_size)
@@ -220,14 +221,7 @@ def bohr_external_sim(A_list, epsilon: Fraction, seed) -> BohrSimReport:
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     Shape.guard(p ** r * r, "lambda grid")
-    # smallest integer s with p^(r-s) <= epsilon, i.e. p^s * eps_num >= p^r * eps_den
-    s = 0
-    lhs = epsilon.numerator
-    rhs = p ** r * epsilon.denominator
-    while lhs < rhs:
-        lhs *= p
-        s += 1
-    s = max(s, 1)
+    s = r + ceil_neg_log(p, epsilon)  # the smallest s with p^(r-s) <= epsilon
 
     rng = np.random.default_rng(seed)
     H = rng.integers(0, p, size=(m, s), dtype=np.int64)
@@ -419,8 +413,9 @@ def nonzero_conn_check(rho: MultilinearMap, gammas) -> ConnectivityReport:
     most (2k+1)(2^k - 1).
 
     `gammas` is a sequence of (index_set, MultilinearMap on G_I) pairs.  The
-    hypothesis side is decided with exact rationals, one exact bias per lam
-    in F_p^r (r the number of full-support gammas; p^r is guarded); the
+    hypothesis side is decided with exact rationals: the p^r twists (r the
+    number of full-support gammas; p^r is guarded) are the rows (1, -lam) of
+    one `slice_counts` call on rho stacked with those gammas.  The
     conclusion uses BFS with a certified diameter bound.  A certified
     violation raises.
     """
@@ -442,12 +437,10 @@ def nonzero_conn_check(rho: MultilinearMap, gammas) -> ConnectivityReport:
     full = frozenset(range(1, k + 1))
     full_coeffs = [g.coeffs for I, g in gammas if I == full]
     Shape.guard(p ** len(full_coeffs), "twisted biases")
-    max_bias = Fraction(0)
-    for code in range(p ** len(full_coeffs)):
-        lams = code_to_vec(p, len(full_coeffs), code)
-        coeffs = (rho.coeffs - sum(lam * C for lam, C in zip(lams, full_coeffs))) % p
-        b = exact_bias(MultilinearMap(shape, 1, coeffs))
-        max_bias = max(max_bias, b)
+    stacked = MultilinearMap(shape, 1 + len(full_coeffs), np.concatenate([rho.coeffs] + full_coeffs, axis=-1))
+    twists = np.hstack([np.ones((p ** len(full_coeffs), 1), dtype=np.int64), -digit_matrix(p, len(full_coeffs))])
+    max_bias = Fraction(int(vanishing_counts(stacked, slice_counts(stacked, twists)).max()),
+                        shape.domain_size // shape.sizes[-1])
     hypothesis = max_bias <= eta
 
     # the target set
@@ -572,8 +565,6 @@ def _constraint_table(shape: Shape, I: frozenset, form: MultilinearMap, val: int
 
 
 def _lex_least_point(shape: Shape, table: np.ndarray):
-    from .forms import codes_to_point
-
     idx = _first_true(table)
     return codes_to_point(shape, idx)
 

@@ -16,6 +16,7 @@ from rankforge.analytic import (
     chi_table,
     exact_bias,
     gcs_check,
+    slice_counts,
     value_histogram,
 )
 from rankforge import forms, linalg
@@ -27,6 +28,7 @@ from rankforge.forms import (
     MultilinearMap,
     Shape,
     as_multiaffine,
+    compose_output,
     curry_last,
     random_multiaffine,
     random_multilinear,
@@ -359,6 +361,30 @@ def test_slice_histogram_matches_pure_python_oracle(p):
         for xs in domain_points(shape):
             oracle[eval_oracle(f, xs)[0]] += 1
         assert bias_report(f).histogram.counts == value_histogram(f).counts == tuple(oracle)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_slice_counts_match_composed_histograms(p):
+    # row s of S counts the values of s.f, which compose_output builds as a
+    # map of its own and value_histogram enumerates; zero and repeated rows,
+    # and entries outside [0, p), included
+    rng = np.random.default_rng([47, p])
+    for trial in range(8):
+        k = 1 + trial % 3
+        dims = tuple(int(n) for n in rng.integers(1, 4 if p < 5 else 3, size=k))
+        m = int(rng.integers(1, 4))
+        f = (random_multilinear if trial % 2 else random_multiaffine)(Shape(p, dims), m, [47, p, trial])
+        S = rng.integers(0, p, size=(5, m))
+        S = np.vstack([S, np.zeros((1, m), dtype=np.int64), S[:2]])
+        got = slice_counts(f, S)
+        assert got.shape == (len(S), p) and got.dtype == np.int64
+        assert (slice_counts(f, S - p) == got).all()
+        for s, row in zip(S, got):
+            assert tuple(row.tolist()) == value_histogram(compose_output(f, s[:, None])).counts
+        g = compose_output(f, S[:1].T)
+        assert (slice_counts(g, [[1]]) == got[:1]).all()  # a scalar map's own stack, no contraction
+    with pytest.raises(ValueError):
+        slice_counts(f, np.ones((2, m + 1), dtype=np.int64))
 
 
 def test_rank_route_past_the_enumeration_guard():

@@ -120,7 +120,7 @@ def test_one_part_contraction():
                 callers.add(f"{path.name}:{scope}")
     assert found <= allowed, f"numpy contractions outside the kernel at {sorted(found - allowed)}"
     users = {"forms.py:part_grid", "forms.py:_evaluate", "forms.py:slice_map", "forms.py:compose_output",
-             "analytic.py:_slice_stack", "partition.py:_Side.images", "partition.py:prank_exact.first_solvable",
-             "partition.py:prank_exact.search_depth"}
+             "analytic.py:_slice_stack", "analytic.py:slice_counts", "partition.py:_Side.images",
+             "partition.py:prank_exact.first_solvable", "partition.py:prank_exact.search_depth"}
     assert users <= callers, f"{sorted(users - callers)} no longer call forms.contract"
     assert MultilinearMap.evaluate is MultiaffineMap.evaluate

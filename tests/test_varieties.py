@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import rankforge.varieties as V
 from rankforge import analytic, forms, linalg
-from rankforge.analytic import level_set_count
+from rankforge.analytic import exact_bias, level_set_count
 from rankforge.errors import DomainSizeError, LemmaViolationError
 from rankforge.forms import (
     MultiaffineMap,
@@ -87,11 +87,11 @@ def test_level_set_count_checks_its_character_sums(monkeypatch):
     # then A_0 - A_1 = 9 + 4 (12 - 9) = 21 over the 4 lines of F_3^2, not a
     # multiple of 3^2, which no level set gives
     f = random_multiaffine(Shape(3, (2,)), 2, [44, 0])
-    monkeypatch.setattr(analytic, "_slice_histogram", lambda g: analytic.ValueHistogram(3, (4, 5, 0), 9))
+    monkeypatch.setattr(analytic, "slice_counts", lambda g, S: np.tile([4, 5, 0], (len(S), 1)))
     with pytest.raises(LemmaViolationError):
         level_set_count(f, (0, 0))
     # never the value 0: 9 + 4 (0 - 9) = -27 is a multiple of 3^2 but no count
-    monkeypatch.setattr(analytic, "_slice_histogram", lambda g: analytic.ValueHistogram(3, (0, 9, 0), 9))
+    monkeypatch.setattr(analytic, "slice_counts", lambda g, S: np.tile([0, 9, 0], (len(S), 1)))
     with pytest.raises(LemmaViolationError):
         level_set_count(f, (0, 0))
     with pytest.raises(ValueError):
@@ -100,16 +100,42 @@ def test_level_set_count_checks_its_character_sums(monkeypatch):
 
 def test_level_set_count_guards_every_histogram_at_once(monkeypatch):
     # a map into F_2^22 on 2^23 points: 2^22 - 1 lines, each a 12 x 11 slice
-    # stack, are refused before any histogram is counted
+    # stack, are refused before any value is counted
     f = random_multiaffine(Shape(2, (12, 11)), 22, [45, 0])
 
-    def no_histogram(g):
-        raise AssertionError("histogram counted before the guard")
+    def no_counts(g, S):
+        raise AssertionError("values counted before the guard")
 
-    monkeypatch.setattr(analytic, "_slice_histogram", no_histogram)
+    monkeypatch.setattr(analytic, "slice_counts", no_counts)
     with pytest.raises(DomainSizeError) as err:
         level_set_count(f, (0,) * 22)
     assert err.value.needed == (2 ** 22 - 1) * 12 * 11
+
+
+def test_level_set_count_one_line_per_chunk(monkeypatch):
+    # DEFAULT_ENUM_GUARD is lowered below two lines' slice stacks (each of
+    # B (n_a + 1) (n_b + 1) entries), so every chunk of slice_counts holds one
+    # line, and the counts still match the enumerated table
+    cases = [((2, (1, 1, 1)), 3), ((2, (1, 1)), 2), ((2, (3,)), 2), ((2, (5,)), 3), ((3, (1, 1)), 1),
+             ((2, (1, 2, 1)), 2)]
+    sizes, real, full = [], linalg.reduce_many, forms.DEFAULT_ENUM_GUARD
+    monkeypatch.setattr(analytic.linalg, "reduce_many",
+                        lambda stack, p, n: sizes.append(len(stack)) or real(stack, p, n))
+    for (p, dims), m in cases:
+        shape = Shape(p, dims)
+        for seed in range(3):
+            f = (random_multiaffine if seed else random_multilinear)(shape, m, [46, seed])
+            values = [tuple(int(t) for t in v) for v in product(range(p), repeat=m)]
+            monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", full)
+            want = [Variety(f, v).size() for v in values]
+            B, _, r, c = analytic._slice_stack(f).shape
+            lines = (p ** m - 1) // (p - 1)
+            guard = max(p ** m, lines * analytic.slice_stack_entries(shape), B * r * c)
+            assert guard < 2 * B * r * c
+            monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", guard)
+            sizes.clear()
+            assert [level_set_count(f, v) for v in values] == want
+            assert sizes == [B] * lines * len(values)
 
 
 def test_density_enumerates_what_counting_would_refuse(monkeypatch):
@@ -494,10 +520,10 @@ def test_nonzero_conn_rank1_informational():
 def test_nonzero_conn_guard_before_bias(monkeypatch):
     # the domain is refused against TRAVERSAL_GUARD before any twist's bias is
     # computed, though its slice stack (2^3 slices of 3 x 3) would be admitted
-    def no_bias(f):
+    def no_bias(f, S):
         raise AssertionError("bias computed before the traversal guard")
 
-    monkeypatch.setattr(V, "exact_bias", no_bias)
+    monkeypatch.setattr(V, "slice_counts", no_bias)
     monkeypatch.setattr(V, "TRAVERSAL_GUARD", 2 ** 9 - 1)
     rho = random_multilinear(Shape(2, (3, 3, 3)), 1, [13, 0])
     with pytest.raises(DomainSizeError) as err:
@@ -717,6 +743,46 @@ def test_nonzero_conn_full_support_gamma_twists():
         if g == 0 and r == 1:
             cnt += 1
     assert rep.set_size == cnt
+
+
+def test_nonzero_conn_max_bias_matches_per_twist_biases():
+    # the p^r twisted biases come from one stack of rho and its full-support
+    # gammas; the oracle builds each twist rho - sum lam_i gamma_i as a form
+    for seed in range(12):
+        p, dims = [(2, (2, 2, 2)), (2, (3, 3)), (3, (2, 2)), (5, (1, 2))][seed % 4]
+        shape = Shape(p, dims)
+        rho = random_multilinear(shape, 1, [48, seed, 0])
+        full = [random_multilinear(shape, 1, [48, seed, i]) for i in range(1, 1 + seed % 3)]
+        if seed % 4 == 1:
+            full.append(rho)  # lam = 1 on this gamma twists rho to the zero form, of bias 1
+        gammas = [(frozenset(range(1, shape.k + 1)), g) for g in full]
+        gammas.append((frozenset([1]), random_multilinear(shape.sub([1]), 1, [48, seed, 9])))
+        rep = nonzero_conn_check(rho, gammas)
+        want = max(exact_bias(MultilinearMap(shape, 1, rho.coeffs - sum(l * g.coeffs for l, g in zip(lam, full))))
+                   for lam in product(range(p), repeat=len(full)))
+        assert rep.max_bias == want
+        assert rep.hypothesis_satisfied == (want <= rep.eta_threshold)
+        if seed % 4 == 1:
+            assert want == 1
+
+
+def test_bohr_sim_codimension_matches_the_loop():
+    # s = r + ceil_neg_log(p, epsilon), against the loop that searched for the
+    # smallest s >= 1 with p^s eps_num >= p^r eps_den
+    def loop(p, r, eps):
+        s, lhs, rhs = 0, eps.numerator, p ** r * eps.denominator
+        while lhs < rhs:
+            lhs *= p
+            s += 1
+        return max(s, 1)
+
+    epsilons = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1, 25), Fraction(99, 100),
+                Fraction(1, 1000), Fraction(3, 4)]
+    for p in (2, 3, 5, 7):
+        for r in (1, 2, 3):
+            A_list = [MultiaffineMap(Shape(p, (1,)), 1, {})] * r
+            for eps in epsilons:
+                assert bohr_external_sim(A_list, eps, [49, r]).s == loop(p, r, eps)
 
 
 def test_connectivity_full_space_diameter_is_arity():
