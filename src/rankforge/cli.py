@@ -245,11 +245,13 @@ def cmd_conv(args) -> int:
         "mean": _frac(table.mean()),
     }
     if args.histogram:
+        nums, dens, counts = table.value_counts()
         payload["histogram"] = [
-            {"value": _frac(v), "count": c} for v, c in sorted(table.histogram().items())
+            {"value": {"num": n, "den": d}, "count": c}
+            for n, d, c in zip(nums.tolist(), dens.tolist(), counts.tolist())
         ]
     else:
-        payload["num"] = [int(v) for v in table.num.reshape(-1)]
+        payload["num"] = table.num.reshape(-1).tolist()
     _emit(payload, args.out)
     return 0
 

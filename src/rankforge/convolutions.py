@@ -81,12 +81,16 @@ class DomainTable:
             return self.num.astype(np.complex128) / self.den
         return self.cvals
 
-    def histogram(self) -> dict:
-        """Exact value counts (rational tables only)."""
+    def value_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact value counts (rational tables only) as three arrays in
+        increasing order of value: each value's numerator and denominator in
+        lowest terms, and its count."""
         if not self.exact:
             raise ValueError("histogram needs an exact table")
+        # one positive denominator for every entry, so sorted numerators are sorted values
         vals, counts = np.unique(self.num.reshape(-1), return_counts=True)
-        return {Fraction(int(v), self.den): int(c) for v, c in zip(vals, counts)}
+        g = np.gcd(vals if self.den < INT64_BOUND else vals.astype(object), self.den)
+        return vals // g, self.den // g, counts
 
 
 def indicator_table(shape: Shape, member: np.ndarray) -> DomainTable:

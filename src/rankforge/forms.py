@@ -515,7 +515,7 @@ def map_to_json(f: Map) -> dict:
     parts = []
     for I in sorted(fa.parts, key=lambda s: (len(s), sorted(s))):
         parts.append(
-            {"subset": sorted(I), "coeffs": [int(v) for v in fa.parts[I].reshape(-1)]}
+            {"subset": sorted(I), "coeffs": fa.parts[I].reshape(-1).tolist()}
         )
     return {
         "p": fa.shape.p,

@@ -311,13 +311,16 @@ def _first_true(mask: np.ndarray) -> tuple:
     return np.unravel_index(flat, mask.shape)
 
 
-def _bfs_distances(member: np.ndarray, start_idx: tuple) -> np.ndarray:
-    dist = np.full(member.shape, -1, dtype=np.int32)
-    frontier = np.zeros_like(member)
-    frontier[start_idx] = True
-    for level, f in enumerate(_bfs_levels(member & ~frontier, frontier, member.ndim)):
-        dist[f] = level
-    return dist
+def _sweep(unseen: np.ndarray, start: tuple, k: int) -> tuple[int, np.ndarray]:
+    """One single-source BFS from `start` through the members in `unseen`
+    (consumed in place, like _bfs_levels): the eccentricity of `start`, its
+    level count less one, and its far set, the last frontier."""
+    frontier = np.zeros_like(unseen)
+    frontier[start] = True
+    unseen[start] = False
+    for ecc, far in enumerate(_bfs_levels(unseen, frontier, k)):
+        pass
+    return ecc, far
 
 
 def _exact_diameter_affordable(size: int, points: int, k: int) -> bool:
@@ -362,38 +365,28 @@ def connectivity(shape: Shape, member: np.ndarray) -> ConnectivityReport:
     if size == 0:
         return ConnectivityReport(False, 0, 0, None, True, None)
 
+    # the first component's search is the first sweep, from _first_true(member)
     remaining = member.copy()
-    components = 0
+    ecc, far = _sweep(remaining, _first_true(remaining), shape.k)
+    components = 1
     while remaining.any():
-        frontier = np.zeros_like(member)
-        frontier[_first_true(remaining)] = True
-        remaining ^= frontier
-        for _ in _bfs_levels(remaining, frontier, shape.k):  # removes the component
-            pass
+        _sweep(remaining, _first_true(remaining), shape.k)  # removes the component
         components += 1
-    connected = components == 1
-    if not connected:
+    if components > 1:
         return ConnectivityReport(False, components, size, None, True, None)
 
     if _exact_diameter_affordable(size, shape.domain_size, shape.k):
         diam = _bit_diameter(member)
         return ConnectivityReport(True, 1, size, diam, True, diam)
 
-    # double sweep plus extra eccentricity samples
-    u = _first_true(member)
-    du = _bfs_distances(member, u)
-    ecc_u = int(du.max())
-    lower = ecc_u
-    upper = 2 * ecc_u
-    src = du
+    # double sweep plus extra eccentricity samples, each from the first point
+    # of the previous sweep's far set
+    lower = ecc
+    upper = 2 * ecc
     for _ in range(1 + EXTRA_SWEEPS):
-        far_mask = src == src.max()
-        w = _first_true(far_mask)
-        dw = _bfs_distances(member, w)
-        ecc_w = int(dw.max())
-        lower = max(lower, ecc_w)
-        upper = min(upper, 2 * ecc_w)
-        src = dw
+        ecc, far = _sweep(member.copy(), _first_true(far), shape.k)
+        lower = max(lower, ecc)
+        upper = min(upper, 2 * ecc)
     upper = max(upper, lower)
     return ConnectivityReport(True, 1, size, upper, False, lower)
 
@@ -414,10 +407,10 @@ def nonzero_conn_check(rho: MultilinearMap, gammas) -> ConnectivityReport:
 
     `gammas` is a sequence of (index_set, MultilinearMap on G_I) pairs.  The
     hypothesis side is decided with exact rationals: the p^r twists (r the
-    number of full-support gammas; p^r is guarded) are the rows (1, -lam) of
-    one `slice_counts` call on rho stacked with those gammas.  The
-    conclusion uses BFS with a certified diameter bound.  A certified
-    violation raises.
+    number of full-support gammas) are the rows (1, -lam) of one
+    `slice_counts` call on rho stacked with those gammas, and the p^r (r + 1)
+    entries of that twist matrix are guarded.  The conclusion uses BFS with a
+    certified diameter bound.  A certified violation raises.
     """
     if not rho.scalar:
         raise ValueError("rho must be a scalar form")
@@ -436,9 +429,10 @@ def nonzero_conn_check(rho: MultilinearMap, gammas) -> ConnectivityReport:
 
     full = frozenset(range(1, k + 1))
     full_coeffs = [g.coeffs for I, g in gammas if I == full]
-    Shape.guard(p ** len(full_coeffs), "twisted biases")
-    stacked = MultilinearMap(shape, 1 + len(full_coeffs), np.concatenate([rho.coeffs] + full_coeffs, axis=-1))
-    twists = np.hstack([np.ones((p ** len(full_coeffs), 1), dtype=np.int64), -digit_matrix(p, len(full_coeffs))])
+    t = len(full_coeffs)
+    Shape.guard(p ** t * (t + 1), "twisted biases")
+    stacked = MultilinearMap(shape, 1 + t, np.concatenate([rho.coeffs] + full_coeffs, axis=-1))
+    twists = np.hstack([np.ones((p ** t, 1), dtype=np.int64), -digit_matrix(p, t)])
     max_bias = Fraction(int(vanishing_counts(stacked, slice_counts(stacked, twists)).max()),
                         shape.domain_size // shape.sizes[-1])
     hypothesis = max_bias <= eta

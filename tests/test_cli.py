@@ -408,6 +408,17 @@ def test_variety_density_with_layer(tmp_path, capsys):
     assert payload["density"] == {"num": 3, "den": 8}
 
 
+def test_arank_of_zero_bias_form_prints_infinity(tmp_path, capsys):
+    # the linear form f(x) = x on F_2 is balanced: bias 0, analytic rank +inf
+    f = MultilinearMap(Shape(2, (1,)), 1, np.ones((1, 1), dtype=np.int64))
+    code, out = run(capsys, ["arank", "--map", write_map(tmp_path, f)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bias_exact"] == {"num": 0, "den": 1} and payload["arank"] == math.inf
+    assert '"arank": Infinity' in out
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_scatter_exhaustive_trilinear_invariant(tmp_path):
     # all 256 coefficient tensors on dims (2,2,2): every record keeps the
     # analytic lower bound at or below the partition rank

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -260,6 +261,24 @@ def test_conv_complex_matches_exact():
 
     cplx = conv_chain(DomainTable(sh, cvals=member.astype(np.complex128)), [1, 2])
     assert np.allclose(exact.to_complex(), cplx.cvals)
+
+
+# 12 shares factors with most numerators, 2^61 - 1 is prime, 2^62 is the largest
+# denominator conv_dir makes, and 3^40 does not fit int64
+@pytest.mark.parametrize("den", [1, 12, 2 ** 61 - 1, 1 << 62, 3 ** 40])
+def test_value_counts_match_fraction_oracle(den):
+    sh = Shape(3, (2, 1))
+    rng = np.random.default_rng([79, den % 1009])
+    num = rng.integers(-30, 31, size=sh.sizes) * rng.choice([1, 2, 3, 4, 6], size=sh.sizes)
+    num.flat[:3] = (0, -(1 << 63), (1 << 63) - 1)
+    table = DomainTable(sh, num=num.astype(np.int64), den=den)
+    oracle = Counter(Fraction(int(v), den) for v in num.flat)
+    nums, dens, counts = table.value_counts()
+    got = list(zip(nums.tolist(), dens.tolist(), counts.tolist()))
+    assert got == [(v.numerator, v.denominator, c) for v, c in sorted(oracle.items())]
+    assert all(type(x) is int for row in got for x in row)
+    with pytest.raises(ValueError, match="exact table"):
+        DomainTable(sh, cvals=num.astype(np.complex128)).value_counts()
 
 
 def test_arrangement_count_examples():

@@ -61,8 +61,8 @@ CASES = {
     "approximation_error": (128, lambda: varieties.approximation_error(
         LAYERS, np.ones(SHAPE.sizes, dtype=bool), "external")),
     "multilinearize_variety": (128, lambda: varieties.multilinearize_variety(VARIETY, VARIETY.defining_map)),
-    # p^r = 8 twisted biases for three full-support gammas
-    "nonzero_conn_check": (8, lambda: varieties.nonzero_conn_check(FORM, [((1, 2, 3), FORM)] * 3)),
+    # a p^r x (r + 1) = 8 x 4 twist matrix for three full-support gammas
+    "nonzero_conn_check": (32, lambda: varieties.nonzero_conn_check(FORM, [((1, 2, 3), FORM)] * 3)),
 }
 
 

@@ -398,9 +398,42 @@ def test_connectivity_certified_bound_on_large_set():
         V.EXACT_DIAMETER_WORK_CAP = old
 
 
+def _bfs_distances(member, start):
+    """Coordinate-change distances from `start` as an int32 grid, -1 where the
+    BFS does not reach."""
+    dist = np.full(member.shape, -1, dtype=np.int32)
+    frontier = np.zeros_like(member)
+    frontier[start] = True
+    level = 0
+    while frontier.any():
+        dist[frontier] = level
+        grown = np.zeros_like(member)
+        for ax in range(member.ndim):
+            grown |= frontier.any(axis=ax, keepdims=True)
+        frontier = grown & member & (dist < 0)
+        level += 1
+    return dist
+
+
+def _sweep_bounds_oracle(member):
+    """(diameter, diameter_lower) of the sampled-eccentricity path from full
+    distance grids: each sweep starts at the first point of dist == dist.max()."""
+    def first(mask):
+        return np.unravel_index(int(np.argmax(mask.reshape(-1))), mask.shape)
+
+    dist = _bfs_distances(member, first(member))
+    lower = int(dist.max())
+    upper = 2 * lower
+    for _ in range(1 + V.EXTRA_SWEEPS):
+        dist = _bfs_distances(member, first(dist == dist.max()))
+        lower = max(lower, int(dist.max()))
+        upper = min(upper, 2 * int(dist.max()))
+    return max(upper, lower), lower
+
+
 def _per_vertex_diameter_oracle(member):
     """The diameter as one single-source BFS per vertex, max of the maxima."""
-    return max(int(V._bfs_distances(member, tuple(idx)).max()) for idx in np.argwhere(member))
+    return max(int(_bfs_distances(member, tuple(idx)).max()) for idx in np.argwhere(member))
 
 
 def _random_connected_set(shape, size, rng):
@@ -433,6 +466,19 @@ def test_bit_diameter_matches_per_vertex_oracles(monkeypatch, one_word_chunks):
             assert rep.is_connected and rep.diameter_exact and rep.set_size == size
             assert rep.diameter == rep.diameter_lower == _per_vertex_diameter_oracle(member)
             assert rep.diameter == bfs_diameter_oracle(sh, member)
+
+
+def test_sweep_bounds_match_distance_grid_oracle(monkeypatch):
+    # the sampled path reads eccentricities from level counts and far sets from
+    # last frontiers; the oracle reads both from distance grids
+    monkeypatch.setattr(V, "EXACT_DIAMETER_WORK_CAP", 0)
+    for i, sh in enumerate(BIT_BFS_SHAPES):
+        for size in (1, 2, 17, 64, 129):
+            member = _random_connected_set(sh, size, np.random.default_rng([73, i, size]))
+            rep = connectivity(sh, member)
+            assert rep.is_connected and not rep.diameter_exact and rep.set_size == size
+            assert (rep.diameter, rep.diameter_lower) == _sweep_bounds_oracle(member)
+            assert rep.diameter_lower <= _per_vertex_diameter_oracle(member) <= rep.diameter
 
 
 def test_bit_diameter_reads_every_chunk(monkeypatch):
