@@ -15,7 +15,6 @@ from .forms import (
     multilinear_parts,
     random_multiaffine,
     random_multilinear,
-    rebuild,
     slice_map,
     value_table,
 )

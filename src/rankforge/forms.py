@@ -428,15 +428,6 @@ def multilinear_parts(f: MultiaffineMap) -> dict:
     return out
 
 
-def rebuild(shape: Shape, m: int, parts: dict) -> MultiaffineMap:
-    """Inverse of multilinear_parts."""
-    raw = {}
-    for I, part in parts.items():
-        I = frozenset(I)
-        raw[I] = part.coeffs if isinstance(part, MultilinearMap) else np.asarray(part)
-    return MultiaffineMap(shape, m, raw)
-
-
 def compose_output(f: Map, M) -> Map:
     """Postcompose with the linear map F_p^m -> F_p^s given by an (m x s) matrix:
     each part's output axis is contracted with the s columns of M."""

@@ -1,7 +1,8 @@
 """Degree-d polynomials over F_p and their symmetric multilinear forms.
 
-The bridge requires d < p so that d! is invertible; the form is built by
-signed finite differencing of the top-degree part on basis tuples.  The
+The bridge requires d < p so that d! is invertible; the form is read from
+the coefficients of the top-degree part.  Every table of a polynomial's
+values on F_p^n is one `forms.contract` of its coefficient tensor.  The
 amplification check relates |E chi(f)| to the bias of the form through the
 iterated-squaring average, whose signed-sum values it counts without
 tabling them, and the substitution step turns a partition decomposition of
@@ -24,7 +25,7 @@ from .forms import (
     MultilinearMap,
     Shape,
     addition_table,
-    digit_matrix,
+    contract,
     json_int,
     json_int_array,
     residue_dtype,
@@ -99,15 +100,25 @@ class PolyDense:
             out = (out + t) % self.p
         return out.astype(np.int64, copy=False)
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "terms": [
-                {"exp": list(e), "c": c}
-                for e, c in sorted(self.terms.items())
-            ],
-        }
+    def table(self) -> np.ndarray:
+        """Values at every point of F_p^n, the (p^n,) int64 array in code order
+        (coordinate 0 is the least significant digit of a code).
+
+        With D = 1 + the largest exponent, the (D,)^n coefficient tensor, its
+        axes reversed, is contracted against the p x D power table
+        V[x, e] = x^e mod p on every axis.  Its D^n entries and every partial
+        contraction are at most p^n, since D <= p; the guard counts p^n and V."""
+        p, n = self.p, self.n
+        D = 1 + max((max(e) for e in self.terms), default=0)
+        Shape.guard(max(p ** n, p * D), "polynomial table")
+        C = np.zeros((D,) * n, dtype=np.int64)
+        for exp, c in self.terms.items():
+            C[exp[::-1]] = c
+        # the guard on V's p rows keeps p far below 2^31.5, past which x^(e-1) * x would leave int64
+        V, x = np.ones((p, D), dtype=np.int64), np.arange(p)
+        for e in range(1, D):
+            V[:, e] = V[:, e - 1] * x % p
+        return contract(C, [V] * n, p).reshape(p ** n)
 
     @staticmethod
     def from_json(obj: dict) -> "PolyDense":
@@ -167,10 +178,11 @@ def diagonal_poly(form: MultilinearMap) -> PolyDense:
 def polarize(f: PolyDense, degree: int | None = None) -> SymmetricForm:
     """The symmetric d-linear form whose diagonal is the top-degree part of f.
 
-    Coefficient [i_1..i_d] is the signed subset sum over S in [d] of
-    (-1)^(d-|S|) top(sum_{j in S} e_{i_j}), divided by d!; needs d < p.
-    All n^d * 2^d subset-sum points are evaluated in one `evaluate_many`
-    pass; the guard is on that point matrix's n^d * 2^d * n entries."""
+    Coefficient [i_1..i_d] is c_e * prod_v e_v! / d!, where e counts how often
+    each variable occurs among the indices and c_e is the coefficient of x^e
+    in top(f); needs d < p.  Each top-degree term fills the entry at the code
+    of its sorted index tuple, and every tuple reads the entry of its sorted
+    indices.  The form's domain, p^(nd) points, must be below 2^63."""
     d = f.degree if degree is None else degree
     if f.is_zero():
         d = max(d, 1)
@@ -180,18 +192,17 @@ def polarize(f: PolyDense, degree: int | None = None) -> SymmetricForm:
         raise ValueError(f"degree {d} is not below the characteristic {f.p}")
     n, p = f.n, f.p
     Shape.guard(n ** d, "polarization", POLARIZE_GUARD, "polarization.POLARIZE_GUARD")
-    Shape.guard(n ** d * 2 ** d * n, "polarization points")
+    if p ** (n * d) >= 1 << 63:
+        raise OverflowError(f"the polarized form's domain {p}^{n * d} is not below 2^63")
     shape = Shape(p, (n,) * d)
-    if (p - 1) ** 2 >= 1 << 63:
-        raise OverflowError(f"polarization evaluates in int64 and needs (p - 1)^2 < 2^63, got p = {p}")
-    masks = digit_matrix(2, d)  # row s: the subset of [d] with bits s
-    tuples = np.indices((n,) * d).reshape(d, -1).T  # basis tuples in row-major order
-    points = masks @ np.eye(n, dtype=np.int64)[tuples]  # [tuple, subset, variable]
-    vals = f.top_part(d).evaluate_many(points.reshape(-1, n)).reshape(n ** d, 2 ** d)
-    # signs +-1 keep the sum below 2^d * p, inside int64 for every admitted p
-    signs = np.where((d - masks.sum(axis=1)) % 2 == 0, 1, -1)
+    codes = n ** np.arange(d - 1, -1, -1)  # row-major code of an index tuple
     inv_fact = pow(math.factorial(d) % p, p - 2, p)
-    coeffs = (vals @ signs % p * inv_fact % p).reshape((n,) * d + (1,))
+    entries = np.zeros(n ** d, dtype=np.int64)
+    for exp, c in f.top_part(d).terms.items():
+        weight = math.prod(math.factorial(e) for e in exp)
+        entries[np.repeat(np.arange(n), exp) @ codes] = c * weight * inv_fact % p
+    tuples = np.sort(np.indices((n,) * d).reshape(d, -1), axis=0)  # column t: tuple t's indices, sorted
+    coeffs = entries[codes @ tuples].reshape((n,) * d + (1,))
     return SymmetricForm(MultilinearMap(shape, 1, coeffs), n, d)
 
 
@@ -219,7 +230,7 @@ def difference_table(f: PolyDense, d: int | None = None) -> np.ndarray:
     p, n = f.p, f.n
     N = p ** (n * d)
     Shape.guard(N, "difference table")
-    table = f.evaluate_many(digit_matrix(p, n)).reshape(1, p ** n)  # rows: the y's added so far; columns: x
+    table = f.table().reshape(1, p ** n)  # rows: the y's added so far; columns: x
     add = addition_table(p, n) if d > 1 else None  # d = 1 builds no p^(2n) table
     for _ in range(d - 1):
         # the y added now lands just above x, so y^1, added last, sits lowest
@@ -281,7 +292,7 @@ def cs_amplification_check(f: PolyDense) -> AmplificationReport:
     counts = signed_sum_counts(f, d)  # guards R p^2 and R p^n, both >= p, before the tables below
     field = PrimeField(p)
 
-    fvals = f.evaluate_many(digit_matrix(p, n))
+    fvals = f.table()
     bias_f = complex(field.char_table[fvals].mean())
     c_pow = abs(bias_f) ** (1 << (d - 1))
 
@@ -326,13 +337,10 @@ def substitute_decomposition(decomp: PartitionDecomposition) -> SubstitutionRepo
     pairs = []
     for s in decomp.summands:
         pairs.append((diagonal_poly(s.beta), diagonal_poly(s.gamma)))
-    N = p ** n
-    Shape.guard(N, "substitution check")
-    pts = digit_matrix(p, n)
-    lhs = diagonal_poly(target).evaluate_many(pts)
-    rhs = np.zeros(N, dtype=np.int64)
+    lhs = diagonal_poly(target).table()
+    rhs = np.zeros_like(lhs)
     for b, g in pairs:
-        rhs = (rhs + b.evaluate_many(pts) * g.evaluate_many(pts)) % p
+        rhs = (rhs + b.table() * g.table()) % p
     ok = np.array_equal(lhs, rhs)
     if not ok:
         raise LemmaViolationError("substituted identity failed pointwise")

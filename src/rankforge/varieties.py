@@ -76,9 +76,6 @@ class Variety:
     def codim(self) -> int:
         return self.defining_map.m
 
-    def contains(self, xs) -> bool:
-        return tuple(int(t) for t in self.defining_map.evaluate(xs)) == self.value
-
     def table(self) -> np.ndarray:
         vt = value_table(self.defining_map)
         want = np.asarray(self.value, dtype=np.int64)

@@ -22,7 +22,6 @@ from rankforge.forms import (
     multilinear_parts,
     random_multiaffine,
     random_multilinear,
-    rebuild,
     residue_dtype,
     scalar_table,
     slice_map,
@@ -378,7 +377,7 @@ def test_parts_round_trip_and_uniqueness():
     )
     parts = multilinear_parts(f)
     assert set(parts) == {frozenset(), frozenset([1]), frozenset([1, 2])}
-    g = rebuild(sh, 1, parts)
+    g = MultiaffineMap(sh, 1, {I: part if I == frozenset() else part.coeffs for I, part in parts.items()})
     assert g == f
     # the part family recovered from evaluations agrees: distinct families
     # cannot share a value table

@@ -44,6 +44,9 @@ CASES = {
     "lovett_lower_bound": (24, lambda: partition.lovett_lower_bound(FORM)),
     "prank_exact": (24, lambda: partition.prank_exact(FORM)),
     "difference_table": (81, lambda: polarization.difference_table(POLY)),
+    "PolyDense.table": (9, POLY.table),
+    # n = 1: the p x D power table, 7 x 7, outgrows the 7 values
+    "PolyDense.table power table": (49, polarization.PolyDense(7, 1, {(6,): 1}).table),
     "signed_sum_counts": (9, lambda: polarization.signed_sum_counts(POLY)),
     "cs_amplification_check": (9, lambda: polarization.cs_amplification_check(POLY)),
     "substitute_decomposition": (9, lambda: polarization.substitute_decomposition(DECOMP)),
@@ -129,9 +132,9 @@ def test_cs_check_pair_count_refused_before_any_p_sized_table(monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("table built before the pair-count guard")
 
-    for name in ["PrimeField", "difference_table", "autocorrelate", "digit_matrix", "addition_table"]:
+    for name in ["PrimeField", "difference_table", "autocorrelate", "contract", "addition_table"]:
         monkeypatch.setattr(polarization, name, built)
-    monkeypatch.setattr(polarization.PolyDense, "evaluate_many", built)
+    monkeypatch.setattr(polarization.PolyDense, "table", built)
     p = 4194301  # the largest prime below 2^22
     with pytest.raises(DomainSizeError) as err:
         polarization.cs_amplification_check(polarization.PolyDense(p, 1, {(2,): 1}))

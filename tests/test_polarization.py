@@ -167,6 +167,7 @@ def poly_to_polarize(draw):
 @settings(max_examples=50, deadline=None)
 @given(poly_to_polarize())
 @example((PolyDense(7, 2, {(1, 1): 1, (0, 1): 5}), 4))  # d > f.degree: the zero form
+@example((PolyDense(7, 2, {(3, 1): 2, (1, 1): 3, (0, 1): 1}), 2))  # d < f.degree: the degree-2 part
 @example((PolyDense(13, 1, {(12,): 3, (5,): 1}), 12))  # n = 1, d = 12
 @example((PolyDense(13, 1, {(7,): 2}), 7))
 @example((PolyDense(5, 3, {(1, 1, 1): 1, (2, 0, 1): 3, (0, 2, 0): 4}), 3))
@@ -178,17 +179,21 @@ def test_polarize_matches_loop_oracle(case):
 
 
 def test_polarize_guards(tmp_path):
-    # (2n)^d * n = 2^25 point-matrix entries for n = 2, d = 12, though n^d = 4096 is admitted
+    # n^d = 4096 coefficient tuples are admitted for n = 2, d = 12, but the
+    # form's domain 13^24 is past 2^63: refused before `Shape`, with exit 3
     f = PolyDense(13, 2, {(6, 6): 1})
-    with pytest.raises(DomainSizeError) as err:
-        polarize(f)
-    assert err.value.needed == 2 ** 25
-    path = tmp_path / "f.json"
-    path.write_text(json.dumps(f.to_json()))
-    assert main(["polarize", "--poly", str(path)]) == 3
-    # int64 evaluation needs (p - 1)^2 < 2^63; 2^32 + 15 is prime
     with pytest.raises(OverflowError):
-        polarize(PolyDense(2 ** 32 + 15, 1, {(1,): 1}))
+        polarize(f)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"p": 13, "n": 2, "terms": [{"exp": [6, 6], "c": 1}]}))
+    assert main(["polarize", "--poly", str(path)]) == 3
+    # one variable, degree 1: the domain p < 2^63 is admitted for p past 2^31.5
+    # (2^32 + 15 is prime), and the form is f's one coefficient
+    sym = polarize(PolyDense(2 ** 32 + 15, 1, {(1,): 5}))
+    assert sym.form.coeffs.tolist() == [[5]]
+    with pytest.raises(DomainSizeError) as err:
+        polarize(PolyDense(3, 2 ** 7 + 1, {}), degree=2)
+    assert err.value.needed == (2 ** 7 + 1) ** 2
 
 
 def test_difference_table_zero_poly_mean():
@@ -244,6 +249,23 @@ def test_difference_table_matches_oracle(case):
     f, d = case
     table = difference_table(f, d)
     oracle = _subset_sum_oracle(f, d)
+    assert table.dtype == oracle.dtype and np.array_equal(table, oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_and_degree())
+@example((PolyDense(2, 4, {(1, 1, 0, 1): 1, (0, 0, 1, 0): 1, (0, 0, 0, 0): 1}), 1))
+@example((PolyDense(3, 3, {(2, 2, 2): 2, (1, 0, 2): 1}), 1))
+@example((PolyDense(5, 2, {(4, 3): 4, (0, 4): 1}), 1))
+@example((PolyDense(7, 2, {(6, 6): 3, (5, 0): 6, (0, 1): 1}), 1))
+@example((PolyDense(101, 2, {(100, 7): 55, (3, 100): 1, (0, 0): 9}), 1))
+@example((PolyDense(5, 3, {}), 1))  # the zero polynomial
+@example((PolyDense(7, 2, {(0, 0): 4}), 1))  # a constant
+@example((PolyDense(13, 1, {(12,): 5}), 1))  # n = 1, exponent p - 1
+def test_table_matches_evaluate_many(case):
+    f, _ = case
+    table = f.table()
+    oracle = f.evaluate_many(digit_matrix(f.p, f.n))
     assert table.dtype == oracle.dtype and np.array_equal(table, oracle)
 
 
