@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .errors import DomainSizeError, LemmaViolationError
-from .field import PrimeField, is_prime
+from .field import is_prime
 from .forms import (
     MultiaffineMap,
     MultilinearMap,

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import forms, linalg
 from .errors import LemmaViolationError
-from .field import PrimeField
-from .forms import Map, MultiaffineMap, MultilinearMap, Shape, contract, digit_matrix, scalar_table, subsets, top_part
+from .forms import Map, MultiaffineMap, MultilinearMap, Shape, characters, contract, digit_matrix, scalar_table, subsets, top_part
 
 CHI_TOL = 1e-9
 BOX_GUARD = 1 << 13  # |G| cap for the 2k-fold box-norm average
@@ -43,40 +42,21 @@ class ValueHistogram:
         if sum(self.counts) != self.total:
             raise ValueError("histogram counts do not sum to the enumerated total")
 
-    def chi_average(self, field: PrimeField | None = None) -> complex:
-        field = field or PrimeField(self.p)
+    def chi_average(self) -> complex:
+        """E chi(value), the counts weighted by the character table of F_p."""
         w = np.asarray(self.counts, dtype=np.float64)
-        return complex((w * field.char_table).sum() / self.total)
-
-    def balanced_tail(self) -> bool:
-        """Whether all nonzero values occur equally often (true for multilinear forms)."""
-        tail = self.counts[1:]
-        return all(c == tail[0] for c in tail) if tail else True
-
-    def exact_bias(self) -> Fraction:
-        """(counts[0] - counts[t != 0]) / total; requires a balanced tail."""
-        if not self.balanced_tail():
-            raise ValueError("exact bias needs a balanced histogram tail")
-        other = self.counts[1] if self.p > 1 and len(self.counts) > 1 else 0
-        return Fraction(self.counts[0] - other, self.total)
+        return complex((w * characters(self.p)).sum() / self.total)
 
 
-def value_histogram(f: Map, restriction: np.ndarray | None = None) -> ValueHistogram:
+def value_histogram(f: Map) -> ValueHistogram:
     """Exact histogram of a scalar map by full enumeration, the oracle of
-    `bias_report`'s slice counts.  `restriction` is an optional boolean
-    membership grid; only points inside it are counted."""
+    `bias_report`'s slice counts."""
     if f.m != 1:
         raise ValueError("value_histogram needs a scalar-valued map")
     shape = f.shape
     Shape.guard(shape.domain_size, "histogram enumeration")
-    if restriction is not None and restriction.shape != shape.sizes:
-        raise ValueError("restriction grid does not match the domain")
-    vals = scalar_table(f)
-    if restriction is not None:
-        vals = vals[restriction]
-    counts = np.bincount(vals.reshape(-1), minlength=shape.p)
-    total = shape.domain_size if restriction is None else int(restriction.sum())
-    return ValueHistogram(shape.p, tuple(int(c) for c in counts), total)
+    counts = np.bincount(scalar_table(f).reshape(-1), minlength=shape.p)
+    return ValueHistogram(shape.p, tuple(int(c) for c in counts), shape.domain_size)
 
 
 @dataclass(frozen=True)
@@ -254,10 +234,12 @@ def arank(f: MultilinearMap) -> float:
 
 
 def exact_bias(f: MultilinearMap) -> Fraction:
-    """`bias_report(f).bias_exact`, without the character table of F_p."""
-    counts = slice_counts(f, [[1]])
+    """`bias_report(f).bias_exact`, the zero density V / P of f's curried map
+    (`vanishing_counts`), without the character table of F_p.  Any other map
+    is refused before its slice stack is built."""
     if not isinstance(f, MultilinearMap):
         raise ValueError("exact bias is defined for multilinear forms only")
+    counts = slice_counts(f, [[1]])
     return Fraction(int(vanishing_counts(f, counts)[0]), f.shape.domain_size // f.shape.sizes[-1])
 
 
@@ -353,4 +335,4 @@ def gcs_check(shape: Shape, tables: dict) -> GcsReport:
 def chi_table(f: Map) -> np.ndarray:
     """The complex grid chi(f(x)) of a scalar map."""
     values = scalar_table(f)  # guards the domain, so p too, before the O(p) character table
-    return PrimeField(f.shape.p).char_table[values]
+    return characters(f.shape.p)[values]

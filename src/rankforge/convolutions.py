@@ -23,14 +23,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from .analytic import chi_table
 from .errors import LemmaViolationError
-from .field import PrimeField
 from .forms import (
     Map,
     Shape,
     addition_table,
     codes_to_point,
-    scalar_table,
     zero_set_table,
 )
 
@@ -100,8 +99,7 @@ def indicator_table(shape: Shape, member: np.ndarray) -> DomainTable:
 
 
 def zero_set_indicator(f: Map) -> DomainTable:
-    member = zero_set_table(f)
-    return DomainTable(f.shape, num=member.astype(np.int64), den=1)
+    return indicator_table(f.shape, zero_set_table(f))
 
 
 def _max_abs(num: np.ndarray) -> int:
@@ -480,9 +478,8 @@ def conv_approximation_check(
     l = conv_direction_of_exceptional if conv_direction_of_exceptional is not None else directions[-1]
     chain = conv_chain(Z, directions).to_complex()
     approx = np.zeros(shape.sizes, dtype=np.complex128)
-    field = PrimeField(shape.p)  # p is at most the guarded domain size
     for c, rho in zip(coefficients, rhos):
-        approx += complex(c) * field.char_table[scalar_table(rho)]
+        approx += complex(c) * chi_table(rho)
     coeff_mass = float(sum(abs(complex(c)) for c in coefficients))
 
     excl_union = exceptional_layers.union_table()

@@ -1,14 +1,11 @@
-"""Primality of the modulus and the additive character table of F_p.
+"""Primality of the modulus.
 
 Values of F_p are residues in [0, p); the arithmetic on them is numpy's, mod
-p, in the modules that use it (`forms.contract` evaluates every map).
+p, in the modules that use it (`forms.contract` evaluates every map), and
+the additive character table is `forms.characters`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-import numpy as np
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -40,18 +37,3 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """F_p together with the additive character chi(t) = exp(2*pi*i*t/p)."""
-
-    p: int
-    char_table: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        table = np.exp(2j * np.pi * np.arange(self.p) / self.p)
-        table.setflags(write=False)
-        object.__setattr__(self, "char_table", table)

@@ -24,7 +24,7 @@ from .field import is_prime
 
 MAX_DOMAIN_BITS = 63
 DEFAULT_ENUM_GUARD = 1 << 22
-TABLE_CACHE_ENTRIES = 1 << 22  # int64 entries (32 MB) of the largest digit or addition table kept for reuse
+TABLE_CACHE_ENTRIES = 1 << 22  # int64 entries (32 MB) of the largest digit, addition or character table kept for reuse
 CAST_BLOCK = 1 << 16  # entries cast at a time from float64 products back to int64
 
 
@@ -116,6 +116,22 @@ def addition_table(p: int, n: int) -> np.ndarray:
     if p ** (2 * n) > TABLE_CACHE_ENTRIES:
         return _addition_table.__wrapped__(p, n)
     return _addition_table(p, n)
+
+
+@lru_cache(maxsize=None)
+def _characters(p: int) -> np.ndarray:
+    table = np.exp(2j * np.pi * np.arange(p) / p)
+    table.setflags(write=False)
+    return table
+
+
+def characters(p: int) -> np.ndarray:
+    """(p,) complex128 table of the additive character chi(t) = exp(2 pi i t / p);
+    kept for reuse unless its 2p int64-sized entries exceed TABLE_CACHE_ENTRIES.
+    Callers guard p first: the table grows with it."""
+    if 2 * p > TABLE_CACHE_ENTRIES:
+        return _characters.__wrapped__(p)
+    return _characters(p)
 
 
 def code_to_vec(p: int, n: int, code: int) -> tuple[int, ...]:

@@ -20,11 +20,12 @@ import numpy as np
 from .analytic import CHI_TOL, ValueHistogram, exact_bias
 from .convolutions import autocorrelate
 from .errors import LemmaViolationError
-from .field import PrimeField, is_prime
+from .field import is_prime
 from .forms import (
     MultilinearMap,
     Shape,
     addition_table,
+    characters,
     contract,
     json_int,
     json_int_array,
@@ -227,10 +228,14 @@ def difference_table(f: PolyDense, d: int | None = None) -> np.ndarray:
     d = f.degree if d is None else d
     if d < 1:
         raise ValueError("the difference table needs d >= 1")
-    p, n = f.p, f.n
-    N = p ** (n * d)
-    Shape.guard(N, "difference table")
-    table = f.table().reshape(1, p ** n)  # rows: the y's added so far; columns: x
+    Shape.guard(f.p ** (f.n * d), "difference table")
+    return _difference_steps(f.table(), f.p, f.n, d)
+
+
+def _difference_steps(fvals: np.ndarray, p: int, n: int, d: int) -> np.ndarray:
+    """`difference_table(f, d)` from f's value table `fvals`, unguarded; at
+    d = 1 it is a view of `fvals`."""
+    table = fvals.reshape(1, p ** n)  # rows: the y's added so far; columns: x
     add = addition_table(p, n) if d > 1 else None  # d = 1 builds no p^(2n) table
     for _ in range(d - 1):
         # the y added now lands just above x, so y^1, added last, sits lowest
@@ -238,7 +243,7 @@ def difference_table(f: PolyDense, d: int | None = None) -> np.ndarray:
         step -= table[:, None, :]
         step %= p
         table = step.reshape(-1, p ** n)
-    return table.reshape(N)
+    return table.reshape(-1)
 
 
 def signed_sum_counts(f: PolyDense, d: int | None = None) -> np.ndarray:
@@ -258,13 +263,22 @@ def signed_sum_counts(f: PolyDense, d: int | None = None) -> np.ndarray:
     d = f.degree if d is None else d
     if d < 2:
         raise ValueError("the signed sum needs d >= 2")
+    return _signed_sum_counts(f, d)[0]
+
+
+def _signed_sum_counts(f: PolyDense, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """`signed_sum_counts(f, d)` for d >= 2, and f's value table, which it
+    builds once after both guards."""
     p, n = f.p, f.n
     rows = p ** (n * (d - 2))
     Shape.guard(rows * p * p, "signed-sum pair count")
-    table = difference_table(f, d - 1).reshape(rows, p ** n)
-    table += np.arange(0, rows * p, p)[:, None]  # row Y's values land in bins Y p .. Y p + p - 1
+    Shape.guard(rows * p ** n, "difference table")
+    fvals = f.table()
+    table = _difference_steps(fvals, p, n, d - 1).reshape(rows, p ** n)
+    if rows > 1:  # d > 2, so the table is the last step's and not a view of fvals
+        table += np.arange(0, rows * p, p)[:, None]  # row Y's values land in bins Y p .. Y p + p - 1
     hist = np.bincount(table.reshape(-1), minlength=rows * p).reshape(rows, p)
-    return autocorrelate(hist, 1, p, 1).sum(axis=0)
+    return autocorrelate(hist, 1, p, 1).sum(axis=0), fvals
 
 
 @dataclass(frozen=True)
@@ -289,14 +303,11 @@ def cs_amplification_check(f: PolyDense) -> AmplificationReport:
     if d >= f.p:
         raise ValueError(f"degree {d} is not below the characteristic {f.p}")
     p, n = f.p, f.n
-    counts = signed_sum_counts(f, d)  # guards R p^2 and R p^n, both >= p, before the tables below
-    field = PrimeField(p)
-
-    fvals = f.table()
-    bias_f = complex(field.char_table[fvals].mean())
+    counts, fvals = _signed_sum_counts(f, d)  # guards R p^2 and R p^n, both >= p, before any table
+    bias_f = complex(characters(p)[fvals].mean())
     c_pow = abs(bias_f) ** (1 << (d - 1))
 
-    mid = ValueHistogram(p, tuple(counts.tolist()), p ** (n * d)).chi_average(field)
+    mid = ValueHistogram(p, tuple(counts.tolist()), p ** (n * d)).chi_average()
     if abs(mid.imag) > CHI_TOL:
         raise LemmaViolationError(f"signed-sum average {mid} is not real")
     mid_real = mid.real

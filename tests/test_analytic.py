@@ -19,7 +19,7 @@ from rankforge.analytic import (
     slice_counts,
     value_histogram,
 )
-from rankforge import forms, linalg
+from rankforge import analytic, forms, linalg
 from test_forms import domain_points, eval_oracle
 from test_linalg import _rank_oracle
 from rankforge.errors import DomainSizeError
@@ -77,14 +77,6 @@ def test_chi_table_guard_before_character_table():
         chi_table(form(2 ** 61 - 1, (1,), [1]))
 
 
-def test_histogram_restriction():
-    xy = form(2, (1, 1), [1])
-    member = np.zeros((2, 2), dtype=bool)
-    member[1, 1] = True
-    h = value_histogram(xy, restriction=member)
-    assert h.counts == (0, 1) and h.total == 1
-
-
 def test_bias_examples():
     zero = form(2, (2, 2), np.zeros(4))
     rep = bias_report(zero)
@@ -138,6 +130,15 @@ def test_multiaffine_bias_declines_arank():
 
 def test_multiaffine_exact_bias_rejected():
     with pytest.raises(ValueError):
+        exact_bias(random_multiaffine(Shape(2, (2, 2)), 1, [3, 3]))
+
+
+def test_exact_bias_rejects_a_multiaffine_map_before_counting(monkeypatch):
+    def no_counts(*args):
+        raise AssertionError("slice stack counted before the type check")
+
+    monkeypatch.setattr(analytic, "slice_counts", no_counts)
+    with pytest.raises(ValueError, match="multilinear forms only"):
         exact_bias(random_multiaffine(Shape(2, (2, 2)), 1, [3, 3]))
 
 
@@ -250,15 +251,12 @@ def test_gcs_missing_table_rejected():
 
 
 def test_histogram_matches_pointwise_oracle():
-    # uneven coordinate sizes, with and without a restriction
+    # uneven coordinate sizes
     g = random_multiaffine(Shape(3, (2, 5)), 1, [71, 1])
-    member = np.random.default_rng(71).integers(0, 2, size=g.shape.sizes).astype(bool)
-    for restriction in (None, member):
-        keep = np.ones(g.shape.domain_size, dtype=bool) if restriction is None else member.reshape(-1)
-        oracle = [0] * 3
-        for xs, kept in zip(domain_points(g.shape), keep):
-            oracle[int(g.evaluate(xs)[0])] += int(kept)
-        assert value_histogram(g, restriction).counts == tuple(oracle)
+    oracle = [0] * 3
+    for xs in domain_points(g.shape):
+        oracle[int(g.evaluate(xs)[0])] += 1
+    assert value_histogram(g).counts == tuple(oracle)
 
 
 def test_box_norm_identity_k4():
@@ -344,7 +342,7 @@ def test_rank_route_matches_enumeration(f):
         return
     vanish = curried_zero_count(f)
     assert rep.vanishing_count == vanish
-    assert rep.bias_exact == hist.exact_bias()
+    assert rep.bias_exact == Fraction(vanish, f.shape.domain_size // f.shape.sizes[-1])
     assert rep.arank == (math.inf if vanish == 0 else pytest.approx(-math.log(rep.bias_exact, f.shape.p)))
 
 

@@ -457,12 +457,12 @@ def test_conv_approximation_guard_before_tables(monkeypatch):
     # numpy cannot hold a table on F_p with p = 2^61 - 1, not even a zero-stride
     # view, so the order is checked on a small domain: the domain guard refuses
     # before the O(p) character table is built
-    from rankforge import convolutions, forms
+    from rankforge import analytic, forms
 
-    def no_field(p):
+    def no_characters(p):
         raise AssertionError("character table built before the domain guard")
 
-    monkeypatch.setattr(convolutions, "PrimeField", no_field)
+    monkeypatch.setattr(analytic, "characters", no_characters)
     monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 2)
     sh = Shape(2, (1, 1))
     Z = indicator_table(sh, np.ones(sh.sizes, dtype=bool))

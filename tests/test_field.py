@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankforge.field import PrimeField, is_prime
+from rankforge.field import is_prime
 from rankforge.linalg import _inverse_many
-from rankforge.forms import Shape
+from rankforge.forms import Shape, characters
 
 
 def _trial_division(n: int) -> bool:
@@ -50,7 +50,7 @@ def test_large_prime_shape_is_fast():
 
 def test_non_prime_rejected():
     with pytest.raises(ValueError):
-        PrimeField(6)
+        Shape(6, (1,))
 
 
 def test_inverse_examples():
@@ -67,14 +67,14 @@ def test_inverses_exhaustive_small_fields():
 
 
 def test_character_values():
-    assert PrimeField(2).char_table[1] == pytest.approx(-1)
-    assert PrimeField(2).char_table[0] == pytest.approx(1)
-    assert PrimeField(3).char_table[1] == pytest.approx(complex(-0.5, np.sqrt(3) / 2))
+    assert characters(2)[1] == pytest.approx(-1)
+    assert characters(2)[0] == pytest.approx(1)
+    assert characters(3)[1] == pytest.approx(complex(-0.5, np.sqrt(3) / 2))
 
 
 def test_character_table_invariants():
     for p in (2, 3, 5, 7, 11):
-        chi = PrimeField(p).char_table
+        chi = characters(p)
         assert abs(chi[0] - 1) < 1e-12
         assert abs(chi.sum()) < 1e-12
         for a in range(p):
@@ -85,5 +85,5 @@ def test_character_table_invariants():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 100), st.integers(0, 100))
 def test_character_multiplicative(a, b):
-    chi = PrimeField(7).char_table
+    chi = characters(7)
     assert abs(chi[a % 7] * chi[b % 7] - chi[(a + b) % 7]) < 1e-12

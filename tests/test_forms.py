@@ -476,3 +476,15 @@ def test_tables_over_the_cache_bound_are_not_kept(monkeypatch):
     assert held < 100_000
     assert forms.digit_matrix(2, 13) is not forms.digit_matrix(2, 13)
     assert forms.addition_table(2, 7) is not forms.addition_table(2, 7)  # 16,384 entries
+
+
+def test_character_tables_over_the_cache_bound_are_not_kept(monkeypatch):
+    # a complex entry counts as two int64 entries
+    monkeypatch.setattr(forms, "TABLE_CACHE_ENTRIES", 1 << 12)
+    chi = forms.characters(2039)  # 4078 entries, kept
+    assert chi is forms.characters(2039) and chi.dtype == np.complex128 and chi.shape == (2039,)
+    with pytest.raises(ValueError):
+        chi[0] = 0
+    big = forms.characters(2053)  # 4106 entries
+    assert big is not forms.characters(2053)
+    assert not big.flags.writeable and np.array_equal(big, np.exp(2j * np.pi * np.arange(2053) / 2053))

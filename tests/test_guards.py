@@ -102,11 +102,11 @@ P_MERSENNE = 2 ** 61 - 1
 def test_large_prime_refused_before_any_p_sized_table(monkeypatch, name):
     # every entry point that would build an O(p) table (a character table, or
     # counts with one bin per field element) refuses p = 2^61 - 1 first
-    def no_field(p):
+    def no_characters(p):
         raise AssertionError("character table built before the guard")
 
-    monkeypatch.setattr(analytic, "PrimeField", no_field)
-    monkeypatch.setattr(polarization, "PrimeField", no_field)
+    monkeypatch.setattr(analytic, "characters", no_characters)
+    monkeypatch.setattr(polarization, "characters", no_characters)
     line = MultilinearMap(Shape(P_MERSENNE, (1,)), 1, np.ones((1, 1), dtype=np.int64))
     affine = MultiaffineMap(line.shape, 1, {frozenset([1]): np.ones((1, 1), dtype=np.int64),
                                             frozenset(): np.ones(1, dtype=np.int64)})
@@ -132,8 +132,9 @@ def test_cs_check_pair_count_refused_before_any_p_sized_table(monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("table built before the pair-count guard")
 
-    for name in ["PrimeField", "difference_table", "autocorrelate", "contract", "addition_table"]:
+    for name in ["characters", "difference_table", "autocorrelate", "contract", "addition_table"]:
         monkeypatch.setattr(polarization, name, built)
+    monkeypatch.setattr(analytic, "characters", built)
     monkeypatch.setattr(polarization.PolyDense, "table", built)
     p = 4194301  # the largest prime below 2^22
     with pytest.raises(DomainSizeError) as err:

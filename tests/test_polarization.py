@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankforge import forms
+from rankforge import analytic, forms, polarization
 from rankforge.analytic import CHI_TOL, ValueHistogram, exact_bias
 from rankforge.cli import main
 from rankforge.errors import DomainSizeError
-from rankforge.forms import digit_matrix
+from rankforge.forms import characters, digit_matrix
 from rankforge.partition import prank_exact
 from rankforge.polarization import (
     AmplificationReport,
@@ -23,7 +23,6 @@ from rankforge.polarization import (
     signed_sum_counts,
     substitute_decomposition,
 )
-from rankforge.field import PrimeField
 
 
 def all_points(p, n):
@@ -200,14 +199,14 @@ def test_difference_table_zero_poly_mean():
     # f = x^2 over F_3: signed sum is f(x+y) - f(x) with mean checked by hand
     f = PolyDense(3, 1, {(2,): 1})
     table = difference_table(f, 2)
-    field = PrimeField(3)
+    chi = characters(3)
     counts = np.bincount(table, minlength=3).astype(float)
-    mid = (counts * field.char_table).sum() / table.size
+    mid = (counts * chi).sum() / table.size
     # direct double loop oracle
     acc = 0j
     for x in range(3):
         for y in range(3):
-            acc += field.char_table[((x + y) ** 2 - x ** 2) % 3]
+            acc += chi[((x + y) ** 2 - x ** 2) % 3]
     assert mid == pytest.approx(acc / 9)
 
 
@@ -329,12 +328,11 @@ def _enumerated_amplification(f):
     points of `difference_table`, as it was before its values were counted."""
     d, p, n = f.degree, f.p, f.n
     diffs = difference_table(f, d)
-    field = PrimeField(p)
     fvals = f.evaluate_many(digit_matrix(p, n))
-    bias_f = complex(field.char_table[fvals].mean())
+    bias_f = complex(characters(p)[fvals].mean())
     c_pow = abs(bias_f) ** (1 << (d - 1))
     counts = np.bincount(diffs, minlength=p)
-    mid = ValueHistogram(p, tuple(counts.tolist()), diffs.size).chi_average(field)
+    mid = ValueHistogram(p, tuple(counts.tolist()), diffs.size).chi_average()
     b_alpha = exact_bias(polarize(f, d).form)
     ok = c_pow <= mid.real + CHI_TOL and float(b_alpha) >= abs(bias_f) ** (1 << (2 * d - 2)) - CHI_TOL
     return AmplificationReport(c_pow, mid.real, b_alpha, ok)
@@ -425,9 +423,19 @@ def test_cs_check_guard_before_character_table():
 
 
 def test_cs_check_builds_one_character_table(monkeypatch):
-    # the field is built once per check and shared; the exact bias needs none
-    built = []
-    init = PrimeField.__post_init__
-    monkeypatch.setattr(PrimeField, "__post_init__", lambda self: (built.append(self.p), init(self)))
+    # |E chi(f)| and the signed-sum average read one cached table, the exact
+    # bias reads none, and f is tabled once for both the signed sums and |E chi(f)|
+    read, tabled = [], []
+
+    def recorded(p):
+        read.append(p)
+        return characters(p)
+
+    table = PolyDense.table
+    monkeypatch.setattr(analytic, "characters", recorded)
+    monkeypatch.setattr(polarization, "characters", recorded)
+    monkeypatch.setattr(PolyDense, "table", lambda self: (tabled.append(self.p), table(self))[1])
+    forms._characters.cache_clear()
     rep = cs_amplification_check(random_homogeneous(5, 2, 3, 7))
-    assert rep.ok and built == [5]
+    assert rep.ok and read == [5, 5] and forms._characters.cache_info().misses == 1
+    assert tabled == [5]
