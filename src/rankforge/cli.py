@@ -85,8 +85,10 @@ def _load_map(path: str):
     return map_from_json(_load_json(path))
 
 
-def _emit(payload: dict, out: str | None, summary: str | None = None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(payload: dict | str, out: str | None, summary: str | None = None):
+    """Write a payload as json.dumps(payload, indent=2, sort_keys=True), or
+    text already in that form, to `out` or stdout."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -245,15 +247,29 @@ def cmd_conv(args) -> int:
         "mean": _frac(table.mean()),
     }
     if args.histogram:
-        nums, dens, counts = table.value_counts()
-        payload["histogram"] = [
-            {"value": {"num": n, "den": d}, "count": c}
-            for n, d, c in zip(nums.tolist(), dens.tolist(), counts.tolist())
-        ]
+        _emit(_histogram_text(payload, *table.value_counts()), args.out)
     else:
         payload["num"] = table.num.reshape(-1).tolist()
-    _emit(payload, args.out)
+        _emit(payload, args.out)
     return 0
+
+
+# one histogram entry {"count": c, "value": {"den": d, "num": n}} as json.dumps
+# indents and sorts it two levels down
+_HISTOGRAM_ROW = (
+    '    {\n      "count": %d,\n      "value": {\n        "den": %d,\n        "num": %d\n'
+    '      }\n    }'
+)
+
+
+def _histogram_text(payload: dict, nums, dens, counts) -> str:
+    """The text `_emit` writes for payload with "histogram" set to the list of
+    {"value": {"num", "den"}, "count"} entries, written from the arrays by one
+    row template in place of json's pure-Python indenter."""
+    rows = ",\n".join(map(_HISTOGRAM_ROW.__mod__, zip(counts.tolist(), dens.tolist(), nums.tolist())))
+    text = json.dumps(dict(payload, histogram=[]), indent=2, sort_keys=True)
+    # only a top-level key sits two spaces in, so this line is the placeholder's own
+    return text.replace('\n  "histogram": []', '\n  "histogram": [\n' + rows + "\n  ]", 1)
 
 
 def cmd_arrange(args) -> int:

@@ -9,10 +9,14 @@ Every exact convolution and arrangement table, and the last difference step
 of `polarization.cs_amplification_check`, is one autocorrelation
 R(a) = sum_b f(a + b) f(b) along one axis (`autocorrelate`).  Over F_2 the
 codes add by XOR, so the Walsh-Hadamard transform H diagonalizes it and
-H((Hf)^2) = |G_i| R, computed exactly in int64 with |G| * 2 log2 |G_i|
-additions while |G_i|^2 max|f|^2 < 2^63.  Otherwise (p > 2, or past that
-bound) the sum is gathered through the addition table, |G| * |G_i| products,
-and refused with OverflowError when |G_i| max|f|^2 reaches 2^63.
+H((Hf)^2) = |G_i| R.  H is applied as float64 BLAS products with
+Sylvester-Hadamard matrices of at most 2^6 x 2^6 entries, one product pass
+per 6 bits of the code, |G| * sum_j 2^(b_j) multiply-adds per transform; it is
+exact in any summation order while 4^n max|f|^2 < 2^53.  Otherwise (p > 2, or
+past that bound) the sum is gathered through the addition table, |G| * |G_i|
+products, and refused with OverflowError when |G_i| max|f|^2 reaches 2^63.
+CONV_GUARD bounds each convolution and arrangement level at the price of the
+route it takes.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,9 +38,13 @@ from .forms import (
     zero_set_table,
 )
 
-CONV_GUARD = 1 << 24       # |G| * |G_i| work guard per convolution
+CONV_GUARD = 1 << 24       # work of one convolution, priced by its route (`_guard_autocorrelation`)
 DEN_GUARD = 1 << 62        # exact denominators must stay below this
 INT64_BOUND = 1 << 63      # exact int64 sums stay strictly below this
+FLOAT64_EXACT = 1 << 53    # float64 sums of integers are exact strictly below this
+PASS_BITS = 6              # code bits one product pass of the p = 2 route reads at most
+# multiply-adds of one BLAS product, at most 64 x 64 x 64: OpenBLAS keeps a product that small on one thread
+PRODUCT_WORK = 1 << 3 * PASS_BITS
 
 
 @dataclass(frozen=True)
@@ -107,22 +116,89 @@ def _max_abs(num: np.ndarray) -> int:
     return max(int(num.max()), -int(num.min()))
 
 
-def _hadamard(h: np.ndarray, spare: np.ndarray, axis: int, n: int) -> None:
-    """Unnormalized Walsh-Hadamard transform of h along `axis` (length 2^n),
-    in place.  h and spare are C-contiguous int64 arrays of one shape; the n
-    butterflies, one per bit of the code, alternate between them, so spare is
-    overwritten.  Separate buffers keep numpy's overlap checks cheap."""
-    outer = math.prod(h.shape[:axis])
-    inner = math.prod(h.shape[axis + 1 :])
-    src, dst = h, spare
-    for j in range(n):
-        pairs = src.reshape(outer << (n - 1 - j), 2, inner << j)  # views
-        out = dst.reshape(pairs.shape)
-        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
-        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+def _pass_bits(n: int) -> list[int]:
+    """Code bits of each product pass over an n-bit code, high bits first:
+    ceil(n / PASS_BITS) passes, as even as possible."""
+    passes = -(-n // PASS_BITS)
+    return [n // passes + (j < n % passes) for j in range(passes)]
+
+
+def _takes_products(p: int, n: int, M: int) -> bool:
+    """Whether an autocorrelation along p^n codes of entries at most M in
+    absolute value runs as float64 products: at p = 2 while 4^n M^2 < 2^53."""
+    return p == 2 and (M << n) ** 2 < FLOAT64_EXACT
+
+
+@lru_cache(maxsize=None)
+def _sylvester(b: int) -> np.ndarray:
+    """The read-only 2^b x 2^b Sylvester-Hadamard matrix in float64:
+    entry [a, c] is (-1)^popcount(a & c)."""
+    h = np.ones((1, 1))
+    for _ in range(b):
+        h = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]), h)
+    h.setflags(write=False)
+    return h
+
+
+def _hadamard_products(src: np.ndarray, dst: np.ndarray, axis: int, n: int):
+    """Unnormalized Walsh-Hadamard transform of src along `axis` (length 2^n).
+
+    src and dst are C-contiguous float64 arrays of one shape.  H_n is the
+    Kronecker product of the Sylvester matrices of the `_pass_bits(n)` bit
+    groups of the code, so each pass multiplies one group's axis by its
+    matrix, and the passes alternate between src and dst.  Every product is a
+    block of at most PRODUCT_WORK multiply-adds: a stack of small products,
+    never one tall one.  Returns (result, the other buffer)."""
+    pre = math.prod(src.shape[:axis])
+    post = math.prod(src.shape[axis + 1 :])
+    done = 0
+    for b in _pass_bits(n):
+        m = 1 << b
+        H = _sylvester(b)
+        outer, inner = pre << done, post << (n - done - b)
+        most = PRODUCT_WORK // (m * m)  # a power of two, so gcd finds a block that divides the axis
+        if inner == 1:
+            rows = outer if outer <= most else math.gcd(outer, most)
+            np.matmul(src.reshape(-1, rows, m), H, out=dst.reshape(-1, rows, m))
+        else:
+            cols = inner if inner <= most else math.gcd(inner, most)
+            blocks = (outer, m, inner // cols, cols)
+            np.matmul(H, src.reshape(blocks).transpose(0, 2, 1, 3),
+                      out=dst.reshape(blocks).transpose(0, 2, 1, 3))
         src, dst = dst, src
-    if src is not h:
-        np.copyto(h, src)
+        done += b
+    return src, dst
+
+
+def _product_autocorrelation(num: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """R = H((H num)^2) / 2^n along `axis` at p = 2, in float64 products.
+
+    Exact while 4^n M^2 < 2^53 (M = max|num|): by Parseval every partial sum
+    of either transform is an integer of absolute value at most
+    2^n sum_b num(b)^2 <= 4^n M^2, so no summation order rounds.  That 2^n
+    divides every entry of H((H num)^2) is checked at run time."""
+    size = 1 << n
+    h = np.array(num, dtype=np.float64, order="C")
+    spare = np.empty_like(h)
+    h, spare = _hadamard_products(h, spare, axis, n)
+    np.multiply(h, h, out=h)
+    h, spare = _hadamard_products(h, spare, axis, n)
+    out = spare.view(np.int64)              # the int64 result takes spare's memory
+    np.copyto(out, h, casting="unsafe")     # every entry is an integer below 2^53
+    if np.bitwise_and(out, size - 1, out=h.view(np.int64)).any():
+        raise LemmaViolationError(
+            f"Hadamard transform of a squared spectrum is not divisible by {size}"
+        )
+    out >>= n
+    return out
+
+
+def _gather_autocorrelation(num: np.ndarray, axis: int, p: int, n: int) -> np.ndarray:
+    """R gathered through the addition table in int64, |G| * p^n products;
+    exact while p^n M^2 < 2^63, which the caller checks."""
+    shifted = np.take(num, addition_table(p, n), axis=axis)  # axes (..., a, b, ...)
+    second = np.expand_dims(num, axis=axis)                  # broadcast over a
+    return (shifted * second).sum(axis=axis + 1)
 
 
 def autocorrelate(num: np.ndarray, axis: int, p: int, n: int) -> np.ndarray:
@@ -130,50 +206,49 @@ def autocorrelate(num: np.ndarray, axis: int, p: int, n: int) -> np.ndarray:
     where codes add in F_p^n; exact in int64.
 
     At p = 2 this is R = H((H num)^2) / 2^n with H the Walsh-Hadamard
-    transform, taken while 4^n M^2 < 2^63 (M = max|num|): by Parseval every
-    intermediate is at most 2^n sum_b num(b)^2 <= 4^n M^2.  That 2^n divides
-    every entry of H((H num)^2) is checked at run time.  Otherwise the sum is
-    gathered through the addition table, exact while p^n M^2 < 2^63."""
-    size = p ** n
+    transform, taken in float64 products while 4^n M^2 < 2^53 (M = max|num|).
+    Otherwise the sum is gathered through the addition table, exact while
+    p^n M^2 < 2^63 and refused with OverflowError past it."""
     M = _max_abs(num)
-    if p == 2 and size * size * M * M < INT64_BOUND:
-        h = np.array(num, dtype=np.int64, order="C")
-        spare = np.empty_like(h)
-        _hadamard(h, spare, axis, n)
-        np.multiply(h, h, out=h)
-        _hadamard(h, spare, axis, n)
-        if np.bitwise_and(h, size - 1, out=spare).any():
-            raise LemmaViolationError(
-                f"Hadamard transform of a squared spectrum is not divisible by {size}"
-            )
-        h >>= n
-        return h
-    if size * M * M >= INT64_BOUND:
+    if _takes_products(p, n, M):
+        return _product_autocorrelation(num, axis, n)
+    if p ** n * M * M >= INT64_BOUND:
         raise OverflowError("exact convolution sums exceed the 64-bit guard")
-    shifted = np.take(num, addition_table(p, n), axis=axis)  # axes (..., a, b, ...)
-    second = np.expand_dims(num, axis=axis)                  # broadcast over a
-    return (shifted * second).sum(axis=axis + 1)
+    return _gather_autocorrelation(num, axis, p, n)
+
+
+def _guard_autocorrelation(shape: Shape, num: np.ndarray, ax: int) -> None:
+    """Refuse the autocorrelation of a table on shape's domain along
+    coordinate ax + 1 over CONV_GUARD, at the price of the route it takes: on
+    the product route the |G| * sum_j 2^(b_j) multiply-adds of one transform,
+    which also covers its two float64 buffers of |G| entries; on the gather
+    its |G| * |G_i| products and entries."""
+    p, n = shape.p, shape.dims[ax]
+    per_point = sum(1 << b for b in _pass_bits(n)) if _takes_products(p, n, _max_abs(num)) else p ** n
+    Shape.guard(shape.domain_size * per_point, "directional convolution", CONV_GUARD,
+                "convolutions.CONV_GUARD")
 
 
 def conv_dir(t: DomainTable, i: int) -> DomainTable:
     """Convolution in direction i: averages f(.., y + x_i, ..) conj f(.., y, ..) over y.
 
-    An exact table's numerator is `autocorrelate`d (a Walsh-Hadamard
-    transform at p = 2 while its int64 bound holds, the addition-table gather
+    An exact table's numerator is `autocorrelate`d (float64 Walsh-Hadamard
+    products at p = 2 while their 2^53 bound holds, the addition-table gather
     otherwise) over the denominator den^2 |G_i|; a complex table is gathered.
-    CONV_GUARD bounds |G| * |G_i| on every route."""
+    CONV_GUARD bounds the work of the route taken."""
     shape = t.shape
     if not 1 <= i <= shape.k:
         raise ValueError(f"direction {i} out of range for k={shape.k}")
     size = shape.sizes[i - 1]
-    Shape.guard(shape.domain_size * size, "directional convolution", CONV_GUARD, "convolutions.CONV_GUARD")
     ax = i - 1
     if t.exact:
+        _guard_autocorrelation(shape, t.num, ax)
         new_den = t.den * t.den * size
         if new_den > DEN_GUARD:
             raise OverflowError("exact denominator exceeds the 64-bit guard")
         num = autocorrelate(t.num, ax, shape.p, shape.dims[ax])
         return DomainTable(shape, num=num, den=new_den)
+    Shape.guard(shape.domain_size * size, "directional convolution", CONV_GUARD, "convolutions.CONV_GUARD")
     add = addition_table(shape.p, shape.dims[ax])
     shifted = np.take(t.cvals, add, axis=ax)
     second = np.conj(np.expand_dims(t.cvals, axis=ax))
@@ -217,7 +292,8 @@ def arrangement_count_tables(shape: Shape, member: np.ndarray, i: int) -> list[n
     arrangements of lengths l whose points all lie in the member set.
 
     This is the direct recursive count: a level-lvl arrangement is a pair of
-    level-(lvl-1) arrangements with lengths shifted in coordinate lvl.
+    level-(lvl-1) arrangements with lengths shifted in coordinate lvl.  Each
+    level is an autocorrelation, refused over CONV_GUARD like `conv_dir`.
     """
     if not 0 <= i <= shape.k:
         raise ValueError(f"level {i} out of range for k={shape.k}")
@@ -227,6 +303,7 @@ def arrangement_count_tables(shape: Shape, member: np.ndarray, i: int) -> list[n
         raise OverflowError("arrangement counts exceed the 64-bit guard")
     tables = [member.astype(np.int64)]
     for lvl in range(1, i + 1):
+        _guard_autocorrelation(shape, tables[-1], lvl - 1)
         tables.append(autocorrelate(tables[-1], lvl - 1, shape.p, shape.dims[lvl - 1]))
     return tables
 

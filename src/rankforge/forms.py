@@ -102,10 +102,15 @@ def digit_matrix(p: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _addition_table(p: int, n: int) -> np.ndarray:
+    # one digit at a time: the peak is two (p^n, p^n) tables, not n of them
     D = digit_matrix(p, n)
-    weights = p ** np.arange(n, dtype=np.int64)
-    S = (D[:, None, :] + D[None, :, :]) % p
-    T = (S * weights).sum(axis=-1)
+    T = np.zeros((p ** n, p ** n), dtype=np.int64)
+    S = np.empty_like(T)
+    for j in range(n):
+        np.add(D[:, j, None], D[None, :, j], out=S)
+        S %= p
+        S *= p ** j
+        T += S
     T.setflags(write=False)
     return T
 

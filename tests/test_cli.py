@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from rankforge import __version__
 from rankforge.analytic import box_norm, chi_table, exact_bias
 from rankforge.cli import main
+from rankforge.convolutions import conv_chain, zero_set_indicator
 from rankforge.forms import (
     MultiaffineMap,
     MultilinearMap,
@@ -152,6 +153,28 @@ def test_conv_command(tmp_path, capsys):
     code, out = run(capsys, ["conv", "--map", path, "--chain", "1", "--histogram"])
     payload = json.loads(out)
     assert {"value": {"num": 0, "den": 1}, "count": 1} in payload["histogram"]
+
+
+@pytest.mark.parametrize("p, dims", [(2, (3, 3)), (2, (2, 1, 3)), (3, (2, 2)), (3, (1, 1, 2))])
+def test_conv_histogram_bytes_match_json_dumps(tmp_path, capsys, p, dims):
+    # the rows written from value_counts() are the bytes json.dumps writes for the list of dicts
+    for seed in range(4):
+        f = random_multiaffine(Shape(p, dims), 1 + seed % 2, [97, seed])
+        path = write_map(tmp_path, f)
+        chain = [1 + (seed + t) % len(dims) for t in range(len(dims))]
+        table = conv_chain(zero_set_indicator(f), chain)
+        mean = table.mean()
+        payload = {
+            "version": __version__, "directions": chain, "den": table.den,
+            "mean": {"num": mean.numerator, "den": mean.denominator},
+            "histogram": [{"value": {"num": n, "den": d}, "count": c}
+                          for n, d, c in zip(*(a.tolist() for a in table.value_counts()))],
+        }
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        argv = ["conv", "--map", path, "--chain", ",".join(map(str, chain)), "--histogram"]
+        assert run(capsys, argv) == (0, want)
+        assert main(argv + ["--out", str(tmp_path / "h.json")]) == 0
+        assert (tmp_path / "h.json").read_bytes() == want.encode()
 
 
 def test_arrange_check(capsys):

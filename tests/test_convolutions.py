@@ -111,7 +111,7 @@ def test_exact_conv_matches_gather_oracle():
 
 def test_conv_past_the_transform_bound_takes_the_gather():
     # the full set of (2,(2,2,2,2,2)): step 5 has M = den = 2^30 and |G_5| = 4,
-    # so 4^2 M^2 = 2^64 is past the int64 bound of the transform
+    # so 4^2 M^2 = 2^64 is past the 2^53 bound of the product route
     sh = Shape(2, (2, 2, 2, 2, 2))
     t = indicator_table(sh, np.ones(sh.sizes, dtype=bool))
     for i in range(1, 6):
@@ -127,10 +127,13 @@ def test_conv_past_the_transform_bound_takes_the_gather():
 
 def test_conv_int64_bounds():
     sh = Shape(2, (1,))
-    # the transform bound 4 M^2 < 2^63 holds at M = 2^30
+    # the product bound 4 M^2 < 2^53 holds at M = 2^25
+    out = conv_dir(DomainTable(sh, num=np.array([1 << 25, 3]), den=1), 1)
+    assert out.num.tolist() == [(1 << 50) + 9, 6 << 25] and out.den == 2
+    # past it, at M = 2^30, the gather is exact
     out = conv_dir(DomainTable(sh, num=np.array([1 << 30, 3]), den=1), 1)
     assert out.num.tolist() == [(1 << 60) + 9, 6 << 30] and out.den == 2
-    # 4 M^2 >= 2^63 > 2 M^2 at M = 3 * 2^29: the gather is still exact
+    # 2 M^2 < 2^63 at M = 3 * 2^29: the gather is still exact
     m = 3 << 29
     out = conv_dir(DomainTable(sh, num=np.array([m, 1]), den=1), 1)
     assert out.num.tolist() == [m * m + 1, 2 * m]
@@ -161,10 +164,10 @@ def _autocorrelate_oracle(num, axis, p, n):
 @pytest.mark.parametrize("p, n, lead, trail", [(3, 1, (4,), ()), (3, 2, (2,), (3,)), (5, 1, (), (2, 2)),
                                                (2, 1, (3,), ()), (2, 3, (2,), (2,)), (2, 2, (), ())])
 def test_autocorrelate_matches_double_loop(monkeypatch, p, n, lead, trail):
-    # p > 2 gathers through the addition table, p = 2 takes the Hadamard route
+    # p > 2 gathers through the addition table, p = 2 takes the product route
     transforms = []
-    real = convolutions._hadamard
-    monkeypatch.setattr(convolutions, "_hadamard", lambda *a: (transforms.append(a[2]), real(*a)))
+    real = convolutions._hadamard_products
+    monkeypatch.setattr(convolutions, "_hadamard_products", lambda *a: (transforms.append(a[3]), real(*a))[1])
     rng = np.random.default_rng([79, p, n])
     for signed in (False, True):
         num = rng.integers(-50 if signed else 0, 51, lead + (p ** n,) + trail)
@@ -172,6 +175,58 @@ def test_autocorrelate_matches_double_loop(monkeypatch, p, n, lead, trail):
         assert out.dtype == np.int64 and out.shape == num.shape
         assert out.tolist() == _autocorrelate_oracle(num, len(lead), p, n).tolist()
     assert len(transforms) == (4 if p == 2 else 0)
+
+
+def _xor_oracle(num, axis, n):
+    """R[.., a, ..] = sum_b num[.., a ^ b, ..] num[.., b, ..], one row a at a
+    time in int64: exact for the small entries it is given."""
+    src = np.moveaxis(num, axis, 0)
+    codes = np.arange(1 << n)
+    out = np.stack([(src[a ^ codes] * src).sum(axis=0) for a in range(1 << n)])
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+def test_product_route_matches_double_loop_and_gather(n):
+    # signed entries on the first, a middle and the last axis, called directly at p = 2
+    rng = np.random.default_rng([83, n])
+    layouts = [((), (2, 3)), ((3,), (2,)), ((2, 3), ())] if n <= 8 else [((), (2,)), ((1,), (2,)), ((2,), ())]
+    if n == 6:
+        # 96 rows or columns: more than one 64-code block takes, and no power of two
+        layouts += [((96,), ()), ((), (96,))]
+    for lead, trail in layouts:
+        num = rng.integers(-50, 51, lead + (1 << n,) + trail)
+        got = convolutions._product_autocorrelation(num, len(lead), n)
+        assert got.dtype == np.int64 and got.shape == num.shape and got.flags.c_contiguous
+        if n <= 6:
+            assert got.tolist() == _autocorrelate_oracle(num, len(lead), 2, n).tolist()
+        if n <= 8:
+            assert got.tolist() == convolutions._gather_autocorrelation(num, len(lead), 2, n).tolist()
+        else:
+            # 4096^2 addition-table entries are too many for a test; |R| <= 4096 * 50^2 fits int64
+            assert got.tolist() == _xor_oracle(num, len(lead), n).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 7])
+def test_product_route_edge_at_2_53(monkeypatch, n):
+    # the largest M with 4^n M^2 < 2^53 takes the products, M + 1 the gather;
+    # a constant row reaches the bound: its spectrum at 0 is 2^n M
+    routes = []
+    for name in ["_product_autocorrelation", "_gather_autocorrelation"]:
+        real = getattr(convolutions, name)
+        monkeypatch.setattr(convolutions, name,
+                            lambda *a, real=real, name=name: (routes.append(name), real(*a))[1])
+    M = math.isqrt(((1 << 53) - 1) >> (2 * n))
+    assert (M << n) ** 2 < 1 << 53 <= ((M + 1) << n) ** 2
+    rng = np.random.default_rng([89, n])
+    for m, route in [(M, "_product_autocorrelation"), (M + 1, "_gather_autocorrelation")]:
+        num = m * rng.choice([-1, 1], size=(2, 1 << n))
+        num[0] = m
+        routes.clear()
+        out = convolutions.autocorrelate(num, 1, 2, n)
+        assert routes == [route]
+        want = _autocorrelate_oracle(num, 1, 2, n) if n <= 6 else _xor_oracle(num.astype(object), 1, n)
+        assert out.tolist() == want.tolist()
 
 
 def test_autocorrelate_int64_bound():
@@ -189,16 +244,17 @@ def test_autocorrelate_int64_bound():
 
 def test_conv_checks_the_hadamard_divisibility(monkeypatch):
     # no input reaches the check, so the second transform is skewed by one
-    real = convolutions._hadamard
+    real = convolutions._hadamard_products
     calls = []
 
-    def skewed(h, spare, axis, n):
-        real(h, spare, axis, n)
+    def skewed(src, dst, axis, n):
+        out, spare = real(src, dst, axis, n)
         calls.append(axis)
         if len(calls) == 2:
-            h.flat[0] += 1
+            out.flat[0] += 1
+        return out, spare
 
-    monkeypatch.setattr(convolutions, "_hadamard", skewed)
+    monkeypatch.setattr(convolutions, "_hadamard_products", skewed)
     sh = Shape(2, (2, 1))
     with pytest.raises(LemmaViolationError, match="not divisible by 4"):
         conv_dir(indicator_table(sh, np.ones(sh.sizes, dtype=bool)), 1)

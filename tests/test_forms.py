@@ -478,6 +478,23 @@ def test_tables_over_the_cache_bound_are_not_kept(monkeypatch):
     assert forms.addition_table(2, 7) is not forms.addition_table(2, 7)  # 16,384 entries
 
 
+def test_addition_table_adds_digits_and_holds_two_tables_at_peak(monkeypatch):
+    for p, n in [(2, 1), (2, 4), (3, 2), (5, 2), (7, 1), (3, 3)]:
+        table = forms.addition_table(p, n)
+        for a, b in product(range(p ** n), repeat=2):
+            want = tuple((x + y) % p for x, y in zip(forms.code_to_vec(p, n, a), forms.code_to_vec(p, n, b)))
+            assert forms.code_to_vec(p, n, int(table[a, b])) == want
+    # built one digit at a time, not through (p^n, p^n, n) intermediates
+    monkeypatch.setattr(forms, "TABLE_CACHE_ENTRIES", 1 << 12)
+    tracemalloc.start()
+    try:
+        table = forms.addition_table(3, 6)  # 531,441 entries, built on each call
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * table.nbytes
+
+
 def test_character_tables_over_the_cache_bound_are_not_kept(monkeypatch):
     # a complex entry counts as two int64 entries
     monkeypatch.setattr(forms, "TABLE_CACHE_ENTRIES", 1 << 12)

@@ -21,6 +21,23 @@ POLY = polarization.PolyDense(3, 2, {(2, 0): 1, (1, 1): 2})
 DECOMP = partition.monomial_decomposition(polarization.polarize(POLY).form)  # checked on 3^2 points
 
 
+# CONV_GUARD prices each convolution and arrangement level by its route: a
+# (2,(7,)) table of small entries takes two product passes, 128 * (16 + 8);
+# past 4^7 M^2 = 2^53 it is gathered, 128 * 128, and so is every step at p = 3,
+# 27 * 9 for the first coordinate of (3,(2,1))
+LINE = Shape(2, (7,))
+FULL_LINE = np.ones(LINE.sizes, dtype=bool)
+SMALL = Shape(3, (2, 1))
+FULL_SMALL = np.ones(SMALL.sizes, dtype=bool)
+
+
+def _conv(shape, num=1, complex_values=False):
+    t = convolutions.DomainTable(shape, num=np.full(shape.sizes, num, dtype=np.int64), den=1)
+    if complex_values:
+        t = convolutions.DomainTable(shape, cvals=t.to_complex())
+    return convolutions.conv_dir(t, 1)
+
+
 def _conv_check():
     Z = convolutions.zero_set_indicator(FORM)
     # the exceptional layers live on the coordinates other than the last one
@@ -66,19 +83,41 @@ CASES = {
     "multilinearize_variety": (128, lambda: varieties.multilinearize_variety(VARIETY, VARIETY.defining_map)),
     # a p^r x (r + 1) = 8 x 4 twist matrix for three full-support gammas
     "nonzero_conn_check": (32, lambda: varieties.nonzero_conn_check(FORM, [((1, 2, 3), FORM)] * 3)),
+    "conv_dir products": (3072, lambda: _conv(LINE), "convolutions.CONV_GUARD"),
+    "conv_dir gather of large entries": (16384, lambda: _conv(LINE, num=1 << 20), "convolutions.CONV_GUARD"),
+    "conv_dir complex": (16384, lambda: _conv(LINE, complex_values=True), "convolutions.CONV_GUARD"),
+    "conv_dir gather mod 3": (243, lambda: _conv(SMALL), "convolutions.CONV_GUARD"),
+    "arrangement_count_tables products": (
+        3072, lambda: convolutions.arrangement_count_tables(LINE, FULL_LINE, 1), "convolutions.CONV_GUARD"),
+    "arrangement_count_tables": (
+        243, lambda: convolutions.arrangement_count_tables(SMALL, FULL_SMALL, 2), "convolutions.CONV_GUARD"),
+    "count_arrangements": (
+        243, lambda: convolutions.count_arrangements(SMALL, FULL_SMALL, 2, (0, 0)), "convolutions.CONV_GUARD"),
+    "sample_arrangement_in_set": (243, lambda: convolutions.sample_arrangement_in_set(
+        SMALL, FULL_SMALL, 2, (0, 0), np.random.default_rng(0)), "convolutions.CONV_GUARD"),
+    "arrangement_identity_check": (
+        243, lambda: convolutions.arrangement_identity_check(SMALL, FULL_SMALL, 1, (0, 0)), "convolutions.CONV_GUARD"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_lowered_enumeration_guard_refuses_one_point_over(monkeypatch, name):
-    # each of these entry points reads forms.DEFAULT_ENUM_GUARD at call time;
-    # a module that bound it at import would still admit the input
-    needed, call = CASES[name]
-    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", needed - 1)
+    # each of these entry points reads its guard (forms.DEFAULT_ENUM_GUARD unless
+    # named) at call time; a module that bound it at import would still admit the input
+    needed, call, *named = CASES[name]
+    constant = named[0] if named else "forms.DEFAULT_ENUM_GUARD"
+    module, attr = constant.split(".")
+    monkeypatch.setattr({"forms": forms, "convolutions": convolutions}[module], attr, needed - 1)
+
+    def built(*args, **kwargs):
+        raise AssertionError("convolution table built before the guard")
+
+    for table in ["_product_autocorrelation", "_gather_autocorrelation", "addition_table"]:
+        monkeypatch.setattr(convolutions, table, built)
     with pytest.raises(DomainSizeError) as err:
         call()
     assert (err.value.needed, err.value.limit) == (needed, needed - 1)
-    assert "forms.DEFAULT_ENUM_GUARD" in str(err.value)
+    assert constant in str(err.value)
 
 
 @pytest.mark.parametrize("name", ["connectivity", "nonzero_conn_check"])

@@ -107,9 +107,10 @@ def _nodes_with_scope(tree):
 
 def test_one_part_contraction():
     # every part of a map, and every product of the partition-rank search, is
-    # evaluated by forms.contract; numpy's contraction routines appear only there
-    # and in the complex box-norm average
-    allowed = {"forms.py:contract", "analytic.py:_box_average"}
+    # evaluated by forms.contract; numpy's contraction routines appear only there,
+    # in the complex box-norm average and in the signed Walsh-Hadamard passes of
+    # the p = 2 autocorrelation, which are no residue contractions
+    allowed = {"forms.py:contract", "analytic.py:_box_average", "convolutions.py:_hadamard_products"}
     found, callers = set(), set()
     for path in sorted(Path(rankforge.__file__).parent.glob("*.py")):
         for scope, node in _nodes_with_scope(ast.parse(path.read_text(), str(path))):
