@@ -101,11 +101,12 @@ def vanishing_counts(f: MultilinearMap, counts: np.ndarray) -> np.ndarray:
 
 
 def slice_stack_entries(shape: Shape) -> int:
-    """p^S * n_a * n_b, the entries of the M blocks in the slice stack of one
-    component of a map on `shape` (`_slice_stack`): the work one value count
-    is guarded by."""
+    """p^S * (n_a + 1) * (n_b + 1), the entries of the slice stack of one
+    component of a map on `shape` (`_slice_stack`; n_b = 0 when k = 1): the
+    work one value count is guarded by."""
     dims = sorted(shape.dims)
-    return shape.p ** sum(dims[:-2]) * dims[-1] * (dims[-2] if shape.k > 1 else 0)
+    n_a, n_b = dims[-1], (dims[-2] if shape.k > 1 else 0)
+    return shape.p ** sum(dims[:-2]) * (n_a + 1) * (n_b + 1)
 
 
 def _slice_stack(f: Map) -> np.ndarray:
@@ -116,7 +117,8 @@ def _slice_stack(f: Map) -> np.ndarray:
     g(y, z) = y^T M z + u.y + v.z + c.  Each part of f is contracted
     (`forms.contract`) with every point of its other coordinates and added
     into the block its a and b select, so entries are sums of residues.  The
-    guard is on the p^S * n_a * n_b entries of one component's M blocks."""
+    guard is on the p^S * (n_a + 1) * (n_b + 1) entries of one component's
+    slices (`slice_stack_entries`)."""
     shape = f.shape
     p, dims = shape.p, shape.dims
     by_size = sorted(range(shape.k), key=lambda i: dims[i])

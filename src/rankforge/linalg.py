@@ -9,7 +9,13 @@ rows of uint64 words, 64 columns to a word (`_pack`: column j is bit j % 64
 of word j // 64), the kernel adds rows by XOR, and the reader unpacks only
 the columns it returns (`_unpack`).  The pivot rule is the same on both
 routes, so pivots and every entry mod 2 are bit-identical to the integer
-route, which stays callable at p = 2 as the packed route's test oracle."""
+route, which stays callable at p = 2 as the packed route's test oracle.
+
+One reader works on columns instead, at p = 2 only: `solvable_columns`
+takes stacks already packed 64 rows to a word (`pack_columns`) and adds
+columns by XOR, with `_eliminate`'s pivot rule.  It pays where the words are
+built by XOR from other words, as the partition-rank search builds its
+images; `solvable_many` stays its test oracle."""
 
 from __future__ import annotations
 
@@ -223,6 +229,55 @@ def solvable_many(stack, b, p: int) -> np.ndarray:
     aug[:, :, c] = np.asarray(b, dtype=np.int64) % p
     pivot_col, residue = _reduce(aug, p, c, c)
     return ~(residue[:, :, 0].astype(bool) & (pivot_col == 0)).any(axis=1)
+
+
+def pack_columns(stack) -> np.ndarray:
+    """The columns of a (B, r, c) stack mod 2 as (B, c, ceil(r / 64)) uint64
+    column words for `solvable_columns`: row q of a column is bit q % 64 of
+    its word q // 64, and the bits past row r are 0."""
+    A = _as_stack(stack)
+    B, r, c = A.shape
+    bits = np.empty((B, c, r), dtype=np.uint8)
+    np.bitwise_and(A.transpose(0, 2, 1), 1, out=bits, casting="unsafe")
+    return _pack(bits)
+
+
+def solvable_columns(words) -> np.ndarray:
+    """Whether A x = b has a solution mod 2, for every augmented matrix
+    [A | b] of a (B, c + 1, W) stack of column words (`pack_columns`), b
+    last, as a bool array of length B.
+
+    The columns of A are eliminated in order, one pass each.  A column's
+    pivot is its lowest-index row with a 1 among the rows without a pivot,
+    as in `_eliminate`: the lowest set bit, x & -x, of the first of its
+    words that has one among those rows.  The column, less the bits of
+    earlier pivot rows, is XORed into every later column with a 1 in the
+    pivot row.  Bits in earlier pivot rows are never read again, so leaving
+    them stale changes nothing: the rows without a pivot hold the residue
+    of every later column, and b lies in the column span of A exactly when
+    its column keeps no bit outside the pivot rows.  Zero columns in A do
+    not change the answer, so blocks of unequal width can be padded into
+    one stack.
+    """
+    A = np.array(words, dtype=np.uint64)
+    if A.ndim != 3 or not A.shape[1]:
+        raise ValueError("expected a (B, c + 1, W) stack of column words")
+    B, cols, W = A.shape
+    if not W:  # no rows: b is the zero vector
+        return np.ones(B, dtype=bool)
+    free = np.full((B, W), ~np.uint64(0))  # the bits of the rows without a pivot
+    for j in range(cols - 1):
+        x = A[:, j] & free
+        low = x & (np.uint64(0) - x)  # each word's lowest candidate
+        for v in range(1, W):  # kept in the first word that has one
+            low[:, v] *= (x[:, :v] == 0).all(axis=1)
+        free ^= low
+        rest = A[:, j + 1 :]  # updated through the view
+        hit = rest[:, :, 0] & low[:, None, 0]
+        for v in range(1, W):
+            hit |= rest[:, :, v] & low[:, None, v]
+        rest ^= (hit != 0)[:, :, None] * x[:, None, :]
+    return ~(A[:, -1] & free).any(axis=1)
 
 
 def left_nullspace_many(stack, p: int):

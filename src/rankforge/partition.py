@@ -22,13 +22,18 @@ rows are stacked and multiplied by Q_p in one product.  Only the solvable
 leaf the search stops at is solved (`linalg.solve`) to build the witness.
 
 A batch of leaves may span several prefixes: their quotients are stacked,
-and each side's factors are contracted with the whole stack at once.  Every
-product of the search (these images, the child quotients and the right-hand
-sides Q b) goes through `forms.contract`, which runs it as an exact float64
-BLAS product at desk-scale p.  A batch allocates at most `BATCH_BYTES`
-(one leaf or one child at the least).  The budget is charged leaf by leaf
-in the same order, so nodes, leaves and witnesses do not depend on the
-batching.
+and each side's factors are contracted with the whole stack at once.  These
+images, the child quotients and the right-hand sides Q b go through
+`forms.contract`, which runs them as exact float64 BLAS products at
+desk-scale p.  At p = 2 the leaves take no product: Q's columns are packed
+into uint64 words along its rows (`linalg.pack_columns`), the image of a
+side's factor is the XOR of the lead columns of Q that its coefficients
+select, read from two tables of subset XORs filled by doubling
+(`_Side.image_words`), Q b is the XOR of the columns b selects, and the span
+test runs on the column words (`linalg.solvable_columns`).  A batch
+allocates at most `BATCH_BYTES` (one leaf or one child at the least).  The
+budget is charged leaf by leaf in the same order, so nodes, leaves and
+witnesses do not depend on the batching.
 
 Exactness is never sacrificed silently: on budget exhaustion, or when some
 bipartition has no enumerable side, the result is an interval, not a guess.
@@ -50,9 +55,11 @@ from .forms import MultilinearMap, Shape, contract, normalized_vectors
 MODE_CAP = 4096          # normalized factors enumerable per bipartition side
 DEFAULT_BUDGET = 200_000  # solver unknowns, summed over the leaves checked
 BATCH_BYTES = 1 << 21     # bytes one batch of the search allocates
-# A batch holds each entry of its padded stack about four times at once, in at most
-# 8 bytes each: the stack itself, one side's float64 product (cast to int64 in
-# place), the rows gathered from that product, and the elimination's work rows.
+# A batch of children, and at p > 2 a batch of leaves, holds each entry of its
+# padded stack about four times at once, in at most 8 bytes each: the stack
+# itself, one side's float64 product (cast to int64 in place), the rows gathered
+# from that product, and the elimination's work rows.  A p = 2 batch of leaves is
+# priced by its column words instead (`first_solvable_words`).
 ENTRY_BYTES = 32
 
 
@@ -199,6 +206,41 @@ class _Side:
         lead, free = (Is, comp) if self.enum_on_subset else (comp, Is)
         C = Q.reshape((len(Q),) + shape.dims).transpose(lead + [0] + free)
         return contract(C, [self.factors[rows]], p).reshape(len(rows), len(Q), self.width)
+
+    def image_words(self, shape: Shape, QW: np.ndarray, t: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """At p = 2, Q_t B for the pairs (t_l, code_l) of quotient and entry, as
+        a (len(t), width, W) stack of column words, from the column words QW
+        (T, N, W) of a stack of quotients (`linalg.pack_columns`).  The factor
+        with code c is row c - 1 of `factors` (`normalized_vectors`), and its
+        image is the XOR of the lead columns its bits select, bit a the
+        coefficient n - 1 - a.  The XORs of every subset of the low half of
+        the bits, and of the high half, are two tables filled by doubling, and
+        an image is the XOR of one row of each: about 2 * 2^(n/2) rows per
+        quotient (`table_words`), where one table of all subsets has 2^n."""
+        Is, comp = sorted(self.subset), sorted(_complement(shape, self.subset))
+        lead, free = (Is, comp) if self.enum_on_subset else (comp, Is)
+        T, _, W = QW.shape
+        n = self.factors.shape[1]
+        cols = QW.reshape((T,) + shape.dims + (W,)).transpose([0] + lead + free + [shape.k + 1])
+        cols = cols.reshape(T, n, self.width, W)
+        bits = int(codes.max()).bit_length()
+        low = bits // 2
+        tables = []
+        for first, count in ((0, low), (low, bits - low)):
+            table = np.empty((T, 1 << count, self.width, W), dtype=np.uint64)
+            table[:, 0] = 0
+            for a in range(count):
+                table[:, 1 << a : 2 << a] = table[:, : 1 << a] ^ cols[:, n - 1 - first - a, None]
+            tables.append(table)
+        images = tables[0][t, codes & ((1 << low) - 1)]
+        images ^= tables[1][t, codes >> low]
+        return images
+
+    def table_words(self) -> int:
+        """At most the words of `image_words`'s two tables for one quotient,
+        per word of its columns."""
+        n = self.factors.shape[1]
+        return ((1 << n // 2) + (1 << n - n // 2)) * self.width
 
     def block(self, shape: Shape, row: int) -> np.ndarray:
         """Columns spanning {factor x free side} in the natural coefficient order,
@@ -359,11 +401,46 @@ def prank_exact(alpha: MultilinearMap, r_max: int = 6, budget: int = DEFAULT_BUD
             del images  # before the next side's products
         return out
 
+    def first_solvable_words(Qs: np.ndarray, t: np.ndarray, j: np.ndarray):
+        """`first_solvable` at p = 2, on column words (`linalg.pack_columns`):
+        each chunk's images come from its quotients' subset tables
+        (`_Side.image_words`), Q b is the XOR of the columns of Q that b
+        selects, and the span test is `linalg.solvable_columns`.  A chunk holds
+        the subset tables of every side for each of its quotients, and each of
+        its leaves' (wmax + 1) column words about four times (the images, the
+        rows XORed into them, the stack and the reader's copy), within
+        `BATCH_BYTES`."""
+        QW = linalg.pack_columns(Qs)
+        n_words = QW.shape[2]  # per column of a quotient
+        rhs = np.bitwise_xor.reduce(QW[:, target == 1], axis=1)
+        per_leaf = ENTRY_BYTES * n_words * (wmax + 1)
+        per_quotient = 8 * n_words * sum(side.table_words() for side in sides)
+        c = 0
+        while c < len(j):
+            held = np.arange(1, len(j) - c + 1) * per_leaf + (t[c:] - t[c] + 1) * per_quotient
+            e = c + max(1, int(np.searchsorted(held, BATCH_BYTES, side="right")))
+            tc, jc = t[c:e] - t[c], j[c:e]
+            stack = np.zeros((e - c, wmax + 1, n_words), dtype=np.uint64)
+            on = side_of[jc]
+            for s in range(on.min(), on.max() + 1):
+                sel = on == s
+                if sel.any():
+                    codes = jc[sel] - offsets[s] + 1
+                    stack[sel, : sides[s].width] = sides[s].image_words(shape, QW[t[c] : t[e - 1] + 1], tc[sel], codes)
+            stack[:, wmax] = rhs[t[c:e]]
+            ok = linalg.solvable_columns(stack)
+            if ok.any():
+                return c + int(ok.argmax())
+            c = e
+        return None
+
     def first_solvable(Qs: np.ndarray, t: np.ndarray, j: np.ndarray):
         """Position of the first solvable leaf, or None.  Leaf l is (prefix t_l,
         entry j_l) with the prefix's quotient Qs[t_l] (see `padded_images`), and
         it is solvable iff Q b lies in the column span of Q B_j.  The leaves
         are checked in order, in chunks whose stacks fit `BATCH_BYTES`."""
+        if p == 2:
+            return first_solvable_words(Qs, t, j)
         T, dmax, N = Qs.shape
         rhs = contract(target, [Qs.reshape(T * dmax, N)], p).reshape(T, dmax)
         step = max(1, BATCH_BYTES // (ENTRY_BYTES * max(1, dmax) * (wmax + 1)))

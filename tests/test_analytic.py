@@ -401,14 +401,15 @@ def test_rank_route_past_the_enumeration_guard():
 
 
 def test_slice_stack_guard(monkeypatch):
-    # slices on the two largest coordinates, 4 and 5: 2^3 * 4 * 5 = 160 entries
+    # slices [[M, u], [v^T, c]] on the two largest coordinates, 4 and 5:
+    # 2^3 * (4 + 1) * (5 + 1) = 240 entries
     f = form(2, (3, 4, 5), np.zeros(60))
-    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 160)
+    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 240)
     assert exact_bias(f) == 1
-    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 159)
+    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 239)
     with pytest.raises(DomainSizeError) as err:
         exact_bias(f)
-    assert err.value.needed == 160
+    assert err.value.needed == 240
 
 
 @st.composite

@@ -9,11 +9,12 @@ from rankforge.errors import DomainSizeError
 from rankforge.forms import MultiaffineMap, MultilinearMap, Shape, random_multiaffine, random_multilinear
 
 # (2,(2,2,3)) has 128 points; its slice stack, 2^2 points of the smallest
-# coordinate times 3 x 2 slices, has 24 entries
+# coordinate times (3 + 1) x (2 + 1) slices, has 48 entries
 SHAPE = Shape(2, (2, 2, 3))
 FORM = random_multilinear(SHAPE, 1, [40, 0])
 AFFINE = random_multiaffine(SHAPE, 1, [40, 1])
 VARIETY = varieties.Variety(random_multiaffine(SHAPE, 2, [40, 2]))
+HYPERPLANE = varieties.Variety(random_multiaffine(SHAPE, 1, [40, 5]))
 LAYERS = varieties.LayerFamily(VARIETY.defining_map, [(0, 0), (1, 0)])
 # difference table 3^4 points; the amplification check counts its values from
 # 3^2 values and a 3 x 3 pair count
@@ -50,16 +51,16 @@ CASES = {
     "scalar_table": (128, lambda: forms.scalar_table(AFFINE)),
     "zero_set_table": (128, lambda: forms.zero_set_table(AFFINE)),
     "value_histogram": (128, lambda: analytic.value_histogram(AFFINE)),
-    "bias_report": (24, lambda: analytic.bias_report(AFFINE)),
-    "bias": (24, lambda: analytic.bias(AFFINE)),
-    "arank": (24, lambda: analytic.arank(FORM)),
-    "exact_bias": (24, lambda: analytic.exact_bias(FORM)),
-    "bias_homog_check": (24, lambda: analytic.bias_homog_check(AFFINE)),
+    "bias_report": (48, lambda: analytic.bias_report(AFFINE)),
+    "bias": (48, lambda: analytic.bias(AFFINE)),
+    "arank": (48, lambda: analytic.arank(FORM)),
+    "exact_bias": (48, lambda: analytic.exact_bias(FORM)),
+    "bias_homog_check": (48, lambda: analytic.bias_homog_check(AFFINE)),
     "chi_table": (128, lambda: analytic.chi_table(AFFINE)),
     "zero_set_indicator": (128, lambda: convolutions.zero_set_indicator(AFFINE)),
     "conv_approximation_check": (128, _conv_check),
-    "lovett_lower_bound": (24, lambda: partition.lovett_lower_bound(FORM)),
-    "prank_exact": (24, lambda: partition.prank_exact(FORM)),
+    "lovett_lower_bound": (48, lambda: partition.lovett_lower_bound(FORM)),
+    "prank_exact": (48, lambda: partition.prank_exact(FORM)),
     "difference_table": (81, lambda: polarization.difference_table(POLY)),
     "PolyDense.table": (9, POLY.table),
     # n = 1: the p x D power table, 7 x 7, outgrows the 7 values
@@ -71,11 +72,13 @@ CASES = {
     "Variety.size": (128, lambda: VARIETY.size()),
     "LayerFamily.layer_tables": (128, lambda: list(LAYERS.layer_tables())),
     "LayerFamily.union_table": (128, lambda: LAYERS.union_table()),
-    # p^m = 4 character sums for VARIETY, over 3 lines of a 24-entry slice
-    # stack each: the sums are refused first, and a density at 3 * 24 = 72
+    # p^m = 4 character sums for VARIETY, over 3 lines of a 48-entry slice
+    # stack each: the sums are refused first.  Counting VARIETY's density would
+    # take 3 * 48 = 144 entries, more than its 128 points, so it is enumerated
+    # under any guard that admits 144; HYPERPLANE's is counted from one line
     "level_set_count": (4, lambda: analytic.level_set_count(VARIETY.defining_map, (0, 0))),
-    "density": (72, lambda: varieties.density(VARIETY)),
-    "density_bound_check": (72, lambda: varieties.density_bound_check(VARIETY)),
+    "density": (48, lambda: varieties.density(HYPERPLANE)),
+    "density_bound_check": (48, lambda: varieties.density_bound_check(HYPERPLANE)),
     "bohr_external": (128, lambda: varieties.bohr_external(AFFINE, 1, [40, 3])),
     "bohr_external_sim": (128, lambda: varieties.bohr_external_sim([AFFINE], 1, [40, 4])),
     "approximation_error": (128, lambda: varieties.approximation_error(
@@ -118,6 +121,22 @@ def test_lowered_enumeration_guard_refuses_one_point_over(monkeypatch, name):
         call()
     assert (err.value.needed, err.value.limit) == (needed, needed - 1)
     assert constant in str(err.value)
+
+
+def test_k1_level_set_slice_stacks_are_counted(monkeypatch):
+    # a k = 1 map on (2,(23,)) into F_2^20: 2^20 - 1 lines, each one slice of
+    # (23 + 1) x 1 entries, are refused under the default guard before any
+    # stack is built (the M blocks alone, 23 x 0, counted nothing)
+    f = random_multiaffine(Shape(2, (23,)), 20, [40, 6])
+
+    def built(*args, **kwargs):
+        raise AssertionError("slice stack built before the guard")
+
+    monkeypatch.setattr(analytic, "_slice_stack", built)
+    with pytest.raises(DomainSizeError) as err:
+        analytic.level_set_count(f, (0,) * 20)
+    assert (err.value.needed, err.value.limit) == ((2 ** 20 - 1) * 24, forms.DEFAULT_ENUM_GUARD)
+    assert "level set slice stacks" in str(err.value)
 
 
 @pytest.mark.parametrize("name", ["connectivity", "nonzero_conn_check"])

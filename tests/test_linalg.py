@@ -233,6 +233,22 @@ def test_packed_elimination_matches_integer_route(kind, B, r, c, ncols):
 
 
 @pytest.mark.parametrize("kind,B,r,c,ncols", PACKED_CASES)
+def test_column_words_match_solvable_many(kind, B, r, c, ncols):
+    # heights 65-200 pack each column into 2-4 words
+    A = _stack(kind, B, r, c, [18, B, r, c, ncols])
+    rng = np.random.default_rng([19, B, r, c])
+    b = np.where(rng.random((B, 1)) < 0.5, np.einsum("brc,bc->br", A, rng.integers(0, 2, (B, c))),
+                 rng.integers(0, 2, (B, r)))
+    aug = np.concatenate([A, b[:, :, None]], axis=2)
+    words = linalg.pack_columns(aug)
+    assert words.dtype == np.uint64 and words.shape == (B, c + 1, -(-r // 64))
+    q = np.arange(r)
+    bits = words[:, :, q // 64] >> (q % 64).astype(np.uint64) & np.uint64(1)
+    assert _same(bits.astype(np.int64), (aug % 2).transpose(0, 2, 1))
+    assert linalg.solvable_columns(words).tolist() == linalg.solvable_many(A, b, 2).tolist()
+
+
+@pytest.mark.parametrize("kind,B,r,c,ncols", PACKED_CASES)
 def test_readers_at_p2_match_column_loop(kind, B, r, c, ncols):
     A = _stack(kind, B, r, c, [16, B, r, c, ncols])
     rng = np.random.default_rng([17, B, r, c])

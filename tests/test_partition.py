@@ -441,6 +441,8 @@ SEARCH_SHAPES = [(2, (2, 2, 2)), (3, (2, 2, 2)), (3, (3, 3)), (2, (4, 4)), (2, (
 @example((2, (4, 4, 4)), 2, 7, 6_000)
 @example((2, (4, 4, 4)), 3, 65, 10_000)
 @example((2, (4, 4, 4)), None, 0, 3_000)  # spent inside the second child of a batch of 12
+# starts at depth 3 (lovett 3), whose first prefix quotients have 125 - 50 = 75 rows: two words a column
+@example((2, (5, 5, 5)), 3, 0, 8_000)
 def test_prank_matches_per_leaf_oracle(shape, planted, seed, budget):
     p, dims = shape
     f = random_multilinear(Shape(p, dims), 1, [43, seed]) if planted is None else planted_form(p, dims, planted, seed)
@@ -450,6 +452,36 @@ def test_prank_matches_per_leaf_oracle(shape, planted, seed, budget):
         # budgets ending exactly on the last leaf charged, and one unit short of it
         for b in (expected.nodes, expected.nodes - 1):
             assert report_key(prank_exact(f, budget=b)) == report_key(prank_per_leaf_oracle(f, budget=b))
+
+
+def test_prank_hit_on_two_word_quotients():
+    # x1[4] g1(x2, x3) + x1[3] g2(x2, x3) on (2,(5,5,5)) is solved by the first
+    # two factors of side {1} (codes 1 and 2); at depth 2 the quotient of the first
+    # has 125 - 25 = 100 rows, packed two words to a column
+    sh = Shape(2, (5, 5, 5))
+    g = np.random.default_rng(53).integers(0, 2, (2, 5, 5))
+    C = np.zeros((5, 5, 5), dtype=np.int64)
+    C[4], C[3] = g
+    f = MultilinearMap(sh, 1, C.reshape(sh.dims + (1,)))
+    rep = prank_exact(f)
+    assert rep.exact and rep.prank == 2 and rep.witness.verify()
+    assert report_key(rep) == report_key(prank_per_leaf_oracle(f))
+    assert [sorted(s.subset) for s in rep.witness.summands] == [[1], [1]]
+
+
+def test_leaf_chunk_across_prefixes_reads_every_side():
+    # x1-factors u = (0,1,1) and (1,0,1), codes 3 and 5 of side {1}, times
+    # random g_i: the first solvable leaf is (2, 4), after every leaf of kids 0
+    # and 1 (1560 and 1559 of them).  At depth 2 a chunk of leaves begins inside
+    # kid 1, on side {1,3}, and runs on into kid 2, whose leaves begin on side {1}
+    sh = Shape(2, (3, 3, 3, 3))
+    g = np.random.default_rng(59).integers(0, 2, (2, 27))
+    C = (np.outer([0, 1, 1], g[0]) + np.outer([1, 0, 1], g[1])) % 2
+    f = MultilinearMap(sh, 1, C.reshape(sh.dims + (1,)))
+    rep = prank_exact(f)
+    assert rep.exact and rep.prank == 2 and rep.leaves == 1560 + 1559 + 2
+    assert sorted(s.beta.coeffs.reshape(-1).tolist() for s in rep.witness.summands) == [[0, 1, 1], [1, 0, 1]]
+    assert report_key(rep) == report_key(prank_per_leaf_oracle(f))
 
 
 def test_prank_leaves_counted_apart_from_units():

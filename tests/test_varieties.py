@@ -99,7 +99,7 @@ def test_level_set_count_checks_its_character_sums(monkeypatch):
 
 
 def test_level_set_count_guards_every_histogram_at_once(monkeypatch):
-    # a map into F_2^22 on 2^23 points: 2^22 - 1 lines, each a 12 x 11 slice
+    # a map into F_2^22 on 2^23 points: 2^22 - 1 lines, each a 13 x 12 slice
     # stack, are refused before any value is counted
     f = random_multiaffine(Shape(2, (12, 11)), 22, [45, 0])
 
@@ -109,13 +109,14 @@ def test_level_set_count_guards_every_histogram_at_once(monkeypatch):
     monkeypatch.setattr(analytic, "slice_counts", no_counts)
     with pytest.raises(DomainSizeError) as err:
         level_set_count(f, (0,) * 22)
-    assert err.value.needed == (2 ** 22 - 1) * 12 * 11
+    assert err.value.needed == (2 ** 22 - 1) * 13 * 12
 
 
 def test_level_set_count_one_line_per_chunk(monkeypatch):
-    # DEFAULT_ENUM_GUARD is lowered below two lines' slice stacks (each of
-    # B (n_a + 1) (n_b + 1) entries), so every chunk of slice_counts holds one
-    # line, and the counts still match the enumerated table
+    # level_set_count guards the slice stacks of all its lines together, each of
+    # B (n_a + 1) (n_b + 1) entries, so slice_counts reads them in one chunk.
+    # Under a guard below two lines' stacks it reads the same lines one per
+    # chunk, with the same counts, and level_set_count is refused.
     cases = [((2, (1, 1, 1)), 3), ((2, (1, 1)), 2), ((2, (3,)), 2), ((2, (5,)), 3), ((3, (1, 1)), 1),
              ((2, (1, 2, 1)), 2)]
     sizes, real, full = [], linalg.reduce_many, forms.DEFAULT_ENUM_GUARD
@@ -123,34 +124,40 @@ def test_level_set_count_one_line_per_chunk(monkeypatch):
                         lambda stack, p, n: sizes.append(len(stack)) or real(stack, p, n))
     for (p, dims), m in cases:
         shape = Shape(p, dims)
+        lines = forms.normalized_vectors(p, m).astype(np.int64)
         for seed in range(3):
             f = (random_multiaffine if seed else random_multilinear)(shape, m, [46, seed])
             values = [tuple(int(t) for t in v) for v in product(range(p), repeat=m)]
             monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", full)
             want = [Variety(f, v).size() for v in values]
-            B, _, r, c = analytic._slice_stack(f).shape
-            lines = (p ** m - 1) // (p - 1)
-            guard = max(p ** m, lines * analytic.slice_stack_entries(shape), B * r * c)
-            assert guard < 2 * B * r * c
-            monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", guard)
-            sizes.clear()
             assert [level_set_count(f, v) for v in values] == want
-            assert sizes == [B] * lines * len(values)
+            counts = analytic.slice_counts(f, lines)
+            B, _, r, c = analytic._slice_stack(f).shape
+            assert B * r * c == analytic.slice_stack_entries(shape)
+            monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", max(p ** m, B * r * c))
+            assert forms.DEFAULT_ENUM_GUARD < 2 * B * r * c
+            sizes.clear()
+            assert np.array_equal(analytic.slice_counts(f, lines), counts)
+            assert sizes == [B] * len(lines)
+            if len(lines) > 1:
+                with pytest.raises(DomainSizeError) as err:
+                    level_set_count(f, values[0])
+                assert err.value.needed == len(lines) * B * r * c
 
 
 def test_density_enumerates_what_counting_would_refuse(monkeypatch):
-    # (2,(1,1,1)) into F_2^3: 7 lines of 2-entry slice stacks, 14 entries in
-    # all.  Under a guard of 13 the table of 8 points is admitted and the
-    # counted route is not, so the density is enumerated.
+    # (2,(1,1,1)) into F_2^3: 7 lines of 8-entry slice stacks (2 slices of
+    # 2 x 2), 56 entries in all.  Under a guard of 55 the table of 8 points is
+    # admitted and the counted route is not, so the density is enumerated.
     f = random_multiaffine(Shape(2, (1, 1, 1)), 3, [45, 1])
     variety = Variety(f, (0, 0, 0))
     monkeypatch.setattr(V, "HISTOGRAM_POINTS", 1)
-    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 13)
+    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 55)
     with pytest.raises(DomainSizeError) as err:
         level_set_count(f, (0, 0, 0))
-    assert err.value.needed == 14
+    assert err.value.needed == 56
     assert density(variety) == Fraction(variety.size(), 8)
-    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 14)
+    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", 56)
     assert level_set_count(f, (0, 0, 0)) == variety.size()
 
 
