@@ -19,6 +19,7 @@ CONFIGS = [
     # (p, dims, exhaustive, count, rmax)
     (2, "2,2", True, 0, 4),
     (2, "2,2,2", True, 0, 6),
+    (3, "2,2,2", True, 0, 6),
     (2, "3,3", False, 200, 4),
     (3, "2,2", False, 200, 4),
 ]

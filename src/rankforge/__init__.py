@@ -1,6 +1,6 @@
 """rankforge: exact desk-scale computations for multilinear forms over prime fields."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import DomainSizeError, LemmaViolationError
 from .field import is_prime
@@ -39,6 +39,7 @@ from .partition import (
     is_partition_rank_le1,
     lovett_lower_bound,
     prank_exact,
+    prank_search,
 )
 from .varieties import (
     ConnectivityReport,

@@ -45,7 +45,9 @@ from .partition import DEFAULT_BUDGET, RankReport, prank_exact
 from .polarization import PolyDense, polarize
 from .varieties import Variety, bohr_external, bohr_external_sim, connectivity, density_bound_check
 
-BUDGET_HELP = "search budget, in solver unknowns summed over the leaves checked"
+BUDGET_HELP = ("budget of the deepening search, in solver unknowns summed over the leaves checked; "
+               "it bounds the search only, not the exact k = 3 pair route")
+RMAX_HELP = "deepest rank the deepening search tries; it bounds the search only, not the exact k = 3 pair route"
 
 SCATTER_COLUMNS = [
     "seed",
@@ -399,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command(sub, "prank", cmd_prank, "exact partition rank with witness", summary=True)
     sp.add_argument("--map", required=True)
-    sp.add_argument("--rmax", type=_nonnegative_int, default=6)
+    sp.add_argument("--rmax", type=_nonnegative_int, default=6, help=RMAX_HELP)
     sp.add_argument("--budget-nodes", type=_nonnegative_int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
 
     sp = command(sub, "boxnorm", cmd_boxnorm, "Gowers box norm of chi composed with a map", summary=True)
@@ -441,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument("--count", type=_nonnegative_int, default="0")
     ensemble.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--rmax", type=_nonnegative_int, default=6)
+    sp.add_argument("--rmax", type=_nonnegative_int, default=6, help=RMAX_HELP)
     sp.add_argument("--budget-nodes", type=_nonnegative_int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
 

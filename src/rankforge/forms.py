@@ -159,6 +159,40 @@ def normalized_vectors(p: int, n: int) -> np.ndarray:
     return out
 
 
+def gaussian_binomial(p: int, n: int, d: int) -> int:
+    """The number of d-dimensional subspaces of F_p^n, in integers."""
+    if not 0 <= d <= n:
+        return 0
+    num = den = 1
+    for i in range(d):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def subspaces(p: int, n: int, d: int) -> np.ndarray:
+    """The reduced row echelon bases of every d-dimensional subspace of
+    F_p^n, as a (gaussian_binomial(p, n, d), d, n) int64 array: each basis
+    once, with pivot rows scaled to a leading 1 and zeros above and below
+    each pivot.  The pivot columns run through `combinations(range(n), d)`
+    backwards, and for each pivot set the free entries (right of a row's
+    pivot, outside the pivot columns) count up in row-major order, most
+    significant first; at d = 1 the rows are those of `normalized_vectors`."""
+    count = gaussian_binomial(p, n, d)
+    Shape.guard(count * d * n, "subspace bases")
+    out = np.zeros((count, d, n), dtype=np.int64)
+    start = 0
+    for pivots in reversed(list(combinations(range(n), d))):
+        free = [(i, j) for i, pc in enumerate(pivots) for j in range(pc + 1, n) if j not in pivots]
+        block = out[start : start + p ** len(free)]
+        block[:, list(range(d)), list(pivots)] = 1
+        codes = np.arange(len(block), dtype=np.int64)
+        for t, (i, j) in enumerate(free):
+            block[:, i, j] = codes // p ** (len(free) - 1 - t) % p
+        start += len(block)
+    return out
+
+
 def residue_dtype(n: int, p: int):
     """The cheapest dtype in which a sum of n products of residues mod p is
     exact: float64 while n (p-1)^2 < 2^53, int64 while n (p-1)^2 < 2^63, and

@@ -1,9 +1,27 @@
-"""Partition rank: rank-1 detection, exact search with witnesses, flattenings,
-the analytic lower bound, and the constructive bilinear decomposition.
+"""Partition rank: rank-1 detection, the exact pair route at k = 3, the
+deepening search with witnesses, flattenings, the analytic lower bound, and
+the constructive bilinear decomposition.
 
-The search runs iterative deepening over combinations of candidate summands.
-A candidate fixes the bipartition I | [k]-I (canonically 1 in I) and one
-factor, enumerated up to scalar normalization (`forms.normalized_vectors`:
+At k = 3 every bipartition splits one coordinate from two, so partition rank
+is slice rank: T has rank <= r iff it vanishes on some W_1 x W_2 x W_3 with
+codimensions summing to at most r.  For fixed W_1 and W_2 the least
+codimension of W_3 is rank T(W_1, W_2, .), so
+
+    prank(T) = min over W_1, W_2 of codim W_1 + codim W_2 + rank T(W_1, W_2, .),
+
+with W_1 and W_2 in the two smallest coordinates.  The pair route
+(`_best_pair`) walks the subspaces of both (`forms.subspaces`) in groups of
+equal dimensions, by c = codim W_1 + codim W_2, one contraction and one
+batched rank read per batch of a group, and stops once c reaches the best
+total or the total reaches the analytic lower bound.  Its witness
+(`_pair_witness`) takes normalized bases of W_1^perp, W_2^perp and W_3^perp
+as linear factors and solves once for the other factors.  The route prices
+itself first (`pair_route_entries`); a shape it cannot afford within
+`forms.DEFAULT_ENUM_GUARD`, and every k != 3, goes to the search.
+
+The search (`prank_search`) runs iterative deepening over combinations of
+candidate summands.  A candidate fixes the bipartition I | [k]-I (canonically
+1 in I) and one factor, enumerated up to scalar normalization (`forms.normalized_vectors`:
 first nonzero coefficient 1, row-major); its block B holds the products of
 that factor with every basis vector of the free side, so a combination
 reaches the target b iff [B_1 | ... | B_r] x = b is solvable.  For each bipartition the factor side
@@ -47,10 +65,10 @@ from itertools import combinations
 
 import numpy as np
 
-from . import linalg
+from . import forms, linalg
 from .analytic import ceil_neg_log, exact_bias
 from .errors import LemmaViolationError
-from .forms import MultilinearMap, Shape, contract, normalized_vectors
+from .forms import MultilinearMap, Shape, contract, gaussian_binomial, normalized_vectors, subspaces
 
 MODE_CAP = 4096          # normalized factors enumerable per bipartition side
 DEFAULT_BUDGET = 200_000  # solver unknowns, summed over the leaves checked
@@ -97,6 +115,12 @@ class PartitionDecomposition:
 
 @dataclass
 class RankReport:
+    """The partition rank as an interval [prank_lo, prank_hi], exact when
+    they meet, with a witness of prank_hi summands and the analytic lower
+    bound.  `nodes` and `leaves` count the deepening search's work only (a
+    rank-1 check counts 1 of each), and `pairs` the pair route's rank reads
+    of T(W_1, W_2, .); the CLI payload carries `nodes`, not `pairs`."""
+
     prank_lo: int
     prank_hi: int
     exact: bool
@@ -105,6 +129,7 @@ class RankReport:
     nodes: int  # budget units: solver unknowns summed over the leaves checked
     truncated_reason: str | None = None
     leaves: int = 0  # leaves checked, a rank-1 check counting 1
+    pairs: int = 0  # (W_1, W_2) rank reads of the pair route
 
     @property
     def prank(self) -> int | None:
@@ -338,28 +363,186 @@ def monomial_decomposition(alpha: MultilinearMap) -> PartitionDecomposition:
     return PartitionDecomposition(alpha, summands)
 
 
+# ---------------------------------------------------------------------------
+#  The pair route at k = 3
+# ---------------------------------------------------------------------------
+
+def _pair_axes(shape: Shape) -> list:
+    """A k = 3 shape's coordinates, 0-based, by dimension and then position:
+    W_1 and W_2 range over the subspaces of the first two."""
+    return sorted(range(3), key=lambda i: (shape.dims[i], i))
+
+
+def _pair_groups(shape: Shape) -> list:
+    """(c, c_1, d_1, d_2) for the groups of pairs of subspaces of dimensions
+    d_1 and d_2 whose codimensions add up to c = c_1 + c_2 < min n_i, by c
+    and then c_1."""
+    na, nb, _ = sorted(shape.dims)
+    return sorted((na - d1 + nb - d2, na - d1, d1, d2)
+                  for d1 in range(na + 1) for d2 in range(nb + 1) if na - d1 + nb - d2 < na)
+
+
+def pair_route_entries(shape: Shape) -> int:
+    """The entries of every T(W_1, W_2, .) the pair route may stack on a k = 3
+    shape, d_1 d_2 n_3 for each pair in `_pair_groups`, counted from Gaussian
+    binomials.  Pairs with c_1 + c_2 >= min n_i are never read: slicing along
+    the smallest coordinate already gives min n_i."""
+    na, nb, nc = sorted(shape.dims)
+    return sum(gaussian_binomial(shape.p, na, d1) * gaussian_binomial(shape.p, nb, d2) * d1 * d2 * nc
+               for _, _, d1, d2 in _pair_groups(shape))
+
+
+def _best_pair(alpha: MultilinearMap, lovett: int):
+    """(best, (B_1, B_2), pairs): the least codim W_1 + codim W_2 +
+    rank T(W_1, W_2, .) over the subspaces of the first two `_pair_axes`,
+    the reduced bases of the first pair that reaches it, and the count of
+    pairs whose rank was read.
+
+    The groups of `_pair_groups` run in order, each one contraction
+    (`forms.contract`) of T with the stacked bases of both sides and one
+    `linalg.rank_many` over the (d_1 d_2, n_3) matrices, in batches of at
+    most `BATCH_BYTES`.  The walk stops before the first group whose c
+    reaches the best total, or once that total reaches `lovett`: no later
+    pair can do better, so the best total is the minimum.  Whole groups are
+    read, so the answer, its pair and `pairs` do not depend on the batching."""
+    shape, p = alpha.shape, alpha.shape.p
+    a, b, c = _pair_axes(shape)
+    na, nb, nc = shape.dims[a], shape.dims[b], shape.dims[c]
+    T = alpha.coeffs[..., 0].transpose(a, b, c)
+    # W_1 = 0 and W_2 = V_b: slicing along the smallest coordinate
+    best, bases, pairs = na, (np.zeros((0, na), dtype=np.int64), np.eye(nb, dtype=np.int64)), 0
+    for cost, _, d1, d2 in _pair_groups(shape):
+        if cost >= best or best <= lovett:
+            break
+        S1, S2 = subspaces(p, na, d1), subspaces(p, nb, d2)
+        step = max(1, BATCH_BYTES // (ENTRY_BYTES * d1 * d2 * nc))  # pairs in one batch
+        rows1, rows2 = max(1, step // len(S2)), min(step, len(S2))
+        for i in range(0, len(S1), rows1):
+            for j in range(0, len(S2), rows2):
+                A, B = S1[i : i + rows1], S2[j : j + rows2]
+                M = contract(T, [A.reshape(-1, na), B.reshape(-1, nb)], p)
+                M = M.reshape(len(A), d1, len(B), d2, nc).transpose(0, 2, 1, 3, 4).reshape(-1, d1 * d2, nc)
+                ranks = linalg.rank_many(M, p)
+                pairs += len(ranks)
+                at = int(ranks.argmin())
+                if cost + int(ranks[at]) < best:
+                    best = cost + int(ranks[at])
+                    bases = (A[at // len(B)], B[at % len(B)])
+    return best, bases, pairs
+
+
+def _dual_basis(B: np.ndarray, p: int) -> np.ndarray:
+    """The reduced row echelon basis of W^perp = {v : B v = 0} for the rows B
+    of a basis of W: normalized linear forms whose common kernel is W."""
+    if not len(B):
+        return np.eye(B.shape[1], dtype=np.int64)
+    return _row_basis(linalg.nullspace(B, p), p)
+
+
+def _row_basis(M: np.ndarray, p: int) -> np.ndarray:
+    """The nonzero rows of M's reduced row echelon form."""
+    if not len(M):
+        return M
+    R, pivots = linalg.row_echelon(M, p)
+    return R[: len(pivots)]
+
+
+def _pair_witness(alpha: MultilinearMap, bases) -> list:
+    """Summands l(x_i) g(x_rest), one per normalized form l of a basis of
+    W_1^perp, W_2^perp and W_3^perp, the row space of T(W_1, W_2, .), for the
+    reduced bases (B_1, B_2) of `_best_pair`.  T vanishes on W_1 x W_2 x W_3,
+    so it lies in the span of the blocks l x (the other coordinates); each l
+    is a pool entry (`_Side`) on the bipartition that splits off its
+    coordinate, and one `linalg.solve` gives the g's
+    (`_witness_from_solution`)."""
+    shape, p = alpha.shape, alpha.shape.p
+    a, b, c = _pair_axes(shape)
+    B1, B2 = bases
+    W3 = np.zeros((0, shape.dims[c]), dtype=np.int64)
+    if len(B1) and len(B2):
+        W3 = contract(alpha.coeffs[..., 0].transpose(a, b, c), [B1, B2], p)
+    duals = {a + 1: _dual_basis(B1, p), b + 1: _dual_basis(B2, p), c + 1: _row_basis(W3, p)}
+    combo = []
+    for I in canonical_subsets(3):
+        comp = _complement(shape, I)
+        (coord,) = I if len(I) == 1 else comp
+        width = int(np.prod([shape.dims[i - 1] for i in sorted(comp if len(I) == 1 else I)]))
+        side = _Side(I, len(I) == 1, duals[coord], width)
+        combo += [(side, row) for row in range(len(side.factors))]
+    x = linalg.solve(np.hstack([side.block(shape, row) for side, row in combo]), alpha.coeffs[..., 0].reshape(-1), p)
+    if x is None:
+        raise LemmaViolationError("the pair route's form does not vanish on its subspaces")
+    return _witness_from_solution(shape, combo, x)
+
+
+def _checked(alpha: MultilinearMap) -> RankReport | None:
+    """The report of the zero form, None for any other scalar form of arity k >= 2."""
+    if not alpha.scalar:
+        raise ValueError("needs a scalar form")
+    if alpha.is_zero():
+        return RankReport(0, 0, True, PartitionDecomposition(alpha, []), 0, 0)
+    if alpha.shape.k < 2:
+        raise ValueError("partition rank of a nonzero form needs arity k >= 2")
+    return None
+
+
 def prank_exact(alpha: MultilinearMap, r_max: int = 6, budget: int = DEFAULT_BUDGET) -> RankReport:
     """Smallest number of rank-1 summands adding up to alpha, with a witness.
 
-    Iterative deepening starting from the analytic lower bound.  A leaf of
-    depth r >= 2 is a combination of r pool entries, checked in `combinations`
-    order; the node count, and the `budget` it is held to, is the number of
-    solver unknowns summed over the leaves checked (a rank-1 check counts 1).
-    `leaves` counts the leaves themselves.  Leaves sharing their first r - 1
-    entries are checked together against that prefix's quotient (see the
-    module docstring); the budget is still charged leaf by leaf, so the
-    result does not depend on the batching.  Returns the exact rank, or the
-    interval [lo, hi] with the best known witness for the upper endpoint.
+    At k = 3 on a shape the pair route can afford (`pair_route_entries`
+    within `forms.DEFAULT_ENUM_GUARD`), a form of analytic lower bound at
+    most 1 goes through rank-1 detection first (1 node, 1 leaf), and every
+    other form through the pair route (`pairs` counts its rank reads): the
+    answer is always exact, and `r_max` and `budget` are not read.  Every
+    other form is answered by `prank_search`, which `r_max` and `budget`
+    bound.
     """
-    if not alpha.scalar:
-        raise ValueError("needs a scalar form")
+    done = _checked(alpha)
+    if done is not None:
+        return done
     shape = alpha.shape
-    if alpha.is_zero():
-        return RankReport(0, 0, True, PartitionDecomposition(alpha, []), 0, 0)
-    if shape.k < 2:
-        raise ValueError("partition rank of a nonzero form needs arity k >= 2")
-
     lovett = lovett_lower_bound(alpha)
+    if shape.k != 3 or pair_route_entries(shape) > forms.DEFAULT_ENUM_GUARD:
+        return _search(alpha, lovett, r_max, budget)
+    rank1_checked = lovett <= 1
+    if rank1_checked:
+        w = is_partition_rank_le1(alpha)
+        if w is not None:
+            return RankReport(1, 1, True, PartitionDecomposition(alpha, [w]), lovett, 1, leaves=1)
+    best, bases, pairs = _best_pair(alpha, lovett)
+    witness = PartitionDecomposition(alpha, _pair_witness(alpha, bases))
+    if len(witness) != best or not witness.verify():
+        raise LemmaViolationError(f"the pair route's solve does not give a witness of its rank {best}")
+    if best < lovett:
+        raise LemmaViolationError("pair route below the analytic lower bound")
+    return RankReport(best, best, True, witness, lovett, int(rank1_checked), leaves=int(rank1_checked), pairs=pairs)
+
+
+def prank_search(alpha: MultilinearMap, r_max: int = 6, budget: int = DEFAULT_BUDGET) -> RankReport:
+    """Smallest number of rank-1 summands adding up to alpha, with a witness,
+    by iterative deepening from the analytic lower bound, at every arity.
+
+    A leaf of depth r >= 2 is a combination of r pool entries, checked in
+    `combinations` order; the node count, and the `budget` it is held to, is
+    the number of solver unknowns summed over the leaves checked (a rank-1
+    check counts 1).  `leaves` counts the leaves themselves.  Leaves sharing
+    their first r - 1 entries are checked together against that prefix's
+    quotient (see the module docstring); the budget is still charged leaf by
+    leaf, so the result does not depend on the batching.  Returns the exact
+    rank, or the interval [lo, hi] with the best known witness for the upper
+    endpoint.  `prank_exact` answers with it wherever the pair route does
+    not, and at k = 3 it is the pair route's test oracle.
+    """
+    done = _checked(alpha)
+    if done is not None:
+        return done
+    return _search(alpha, lovett_lower_bound(alpha), r_max, budget)
+
+
+def _search(alpha: MultilinearMap, lovett: int, r_max: int, budget: int) -> RankReport:
+    """`prank_search` of a nonzero scalar form of arity k >= 2 whose analytic
+    lower bound is `lovett`."""
+    shape = alpha.shape
     trivial = monomial_decomposition(alpha)
     hi = len(trivial)
     sides, complete = _build_pool(shape)

@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -17,14 +17,17 @@ from rankforge.forms import (
     compose_output,
     contract,
     curry_last,
+    gaussian_binomial,
     map_from_json,
     map_to_json,
     multilinear_parts,
+    normalized_vectors,
     random_multiaffine,
     random_multilinear,
     residue_dtype,
     scalar_table,
     slice_map,
+    subspaces,
     top_part,
     value_table,
 )
@@ -505,3 +508,33 @@ def test_character_tables_over_the_cache_bound_are_not_kept(monkeypatch):
     big = forms.characters(2053)  # 4106 entries
     assert big is not forms.characters(2053)
     assert not big.flags.writeable and np.array_equal(big, np.exp(2j * np.pi * np.arange(2053) / 2053))
+
+
+def _span(p, n, rows):
+    """Every vector of the span of `rows` over F_p^n, as a frozenset of tuples."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, n)
+    return frozenset(tuple(np.asarray(c, dtype=np.int64) @ rows % p) for c in product(range(p), repeat=len(rows)))
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 1, 0), (2, 1, 1), (2, 3, 0), (2, 3, 1), (2, 3, 2), (2, 3, 3), (2, 4, 2),
+                                   (2, 4, 3), (3, 2, 2), (3, 3, 1), (3, 3, 2), (5, 2, 1), (5, 3, 1)])
+def test_subspaces_against_brute_force(p, n, d):
+    S = subspaces(p, n, d)
+    assert S.shape == (gaussian_binomial(p, n, d), d, n) and S.dtype == np.int64
+    for B in S:
+        # reduced row echelon form: leading 1s in increasing columns, alone in their columns
+        pivots = [int(np.flatnonzero(row)[0]) for row in B]
+        assert pivots == sorted(set(pivots)) and (B[:, pivots] == np.eye(d, dtype=np.int64)).all()
+        assert ((0 <= B) & (B < p)).all()
+    # every d-dimensional subspace exactly once: the spans of d vectors of F_p^n that have p^d points
+    spans = {_span(p, n, rows) for rows in combinations(product(range(p), repeat=n), d)}
+    brute = {span for span in spans if len(span) == p ** d}
+    found = [_span(p, n, B) for B in S]
+    assert len(set(found)) == len(found) and set(found) == brute
+    if d == 1:
+        assert np.array_equal(S[:, 0], normalized_vectors(p, n))
+
+
+def test_gaussian_binomial():
+    assert [gaussian_binomial(2, 4, d) for d in range(-1, 6)] == [0, 1, 15, 35, 15, 1, 0]
+    assert gaussian_binomial(3, 4, 2) == 130 and gaussian_binomial(5, 3, 1) == 31

@@ -61,6 +61,9 @@ CASES = {
     "conv_approximation_check": (128, _conv_check),
     "lovett_lower_bound": (48, lambda: partition.lovett_lower_bound(FORM)),
     "prank_exact": (48, lambda: partition.prank_exact(FORM)),
+    "prank_search": (48, lambda: partition.prank_search(FORM)),
+    # the 7 reduced bases of the planes of F_2^3, 2 x 3 entries each
+    "subspaces": (42, lambda: forms.subspaces(2, 3, 2)),
     "difference_table": (81, lambda: polarization.difference_table(POLY)),
     "PolyDense.table": (9, POLY.table),
     # n = 1: the p x D power table, 7 x 7, outgrows the 7 values

@@ -106,7 +106,7 @@ def _nodes_with_scope(tree):
 
 
 def test_one_part_contraction():
-    # every part of a map, and every product of the partition-rank search, is
+    # every part of a map, and every product of the partition-rank search and pair route, is
     # evaluated by forms.contract; numpy's contraction routines appear only there,
     # in the complex box-norm average and in the signed Walsh-Hadamard passes of
     # the p = 2 autocorrelation, which are no residue contractions
@@ -122,6 +122,7 @@ def test_one_part_contraction():
     assert found <= allowed, f"numpy contractions outside the kernel at {sorted(found - allowed)}"
     users = {"forms.py:part_grid", "forms.py:_evaluate", "forms.py:slice_map", "forms.py:compose_output",
              "analytic.py:_slice_stack", "analytic.py:slice_counts", "partition.py:_Side.images",
-             "partition.py:prank_exact.first_solvable", "partition.py:prank_exact.search_depth"}
+             "partition.py:_search.first_solvable", "partition.py:_search.search_depth",
+             "partition.py:_best_pair", "partition.py:_pair_witness"}
     assert users <= callers, f"{sorted(users - callers)} no longer call forms.contract"
     assert MultilinearMap.evaluate is MultiaffineMap.evaluate

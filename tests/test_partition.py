@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankforge import linalg, partition
+from rankforge import forms, linalg, partition
 from rankforge.analytic import exact_bias
 from rankforge.cli import main
 from rankforge.errors import LemmaViolationError
@@ -25,7 +25,9 @@ from rankforge.partition import (
     is_partition_rank_le1,
     lovett_lower_bound,
     monomial_decomposition,
+    pair_route_entries,
     prank_exact,
+    prank_search,
 )
 
 
@@ -161,7 +163,7 @@ def test_scalar_invariance(seed, p):
 
 def test_budget_truncation_is_interval():
     f = random_multilinear(Shape(2, (2, 2, 2)), 1, [29, 1])
-    rep = prank_exact(f, r_max=8, budget=1)
+    rep = prank_search(f, r_max=8, budget=1)
     if not rep.exact:
         assert rep.prank_lo <= rep.prank_hi
         assert rep.truncated_reason is not None
@@ -170,11 +172,15 @@ def test_budget_truncation_is_interval():
 
 
 def test_oversized_candidate_space_falls_back():
-    # dims large enough that neither side of the middle bipartition is
-    # enumerable, with lovett telling the interval apart from a guess
-    f = random_multilinear(Shape(5, (3, 3, 3)), 1, [31, 0])
+    # neither side of the bipartition {1,2} | {3,4} of (2,(4,4,4,4)) is enumerable
+    # (2^16 - 1 factors each, past MODE_CAP), so the pool is incomplete and the
+    # answer is an interval with the trivial witness, not a guess
+    f = random_multilinear(Shape(2, (4, 4, 4, 4)), 1, [31, 0])
+    assert not partition._build_pool(f.shape)[1]
     rep = prank_exact(f, r_max=2, budget=100)
-    assert rep.prank_lo <= rep.prank_hi
+    assert not rep.exact and rep.prank_lo <= rep.prank_hi
+    assert rep.truncated_reason == "some bipartition has no desk-scale factor side"
+    assert rep.witness.verify()
 
 
 def test_strong_decomposition_examples():
@@ -447,11 +453,11 @@ def test_prank_matches_per_leaf_oracle(shape, planted, seed, budget):
     p, dims = shape
     f = random_multilinear(Shape(p, dims), 1, [43, seed]) if planted is None else planted_form(p, dims, planted, seed)
     expected = prank_per_leaf_oracle(f, budget=budget)
-    assert report_key(prank_exact(f, budget=budget)) == report_key(expected)
+    assert report_key(prank_search(f, budget=budget)) == report_key(expected)
     if expected.nodes > 1:
         # budgets ending exactly on the last leaf charged, and one unit short of it
         for b in (expected.nodes, expected.nodes - 1):
-            assert report_key(prank_exact(f, budget=b)) == report_key(prank_per_leaf_oracle(f, budget=b))
+            assert report_key(prank_search(f, budget=b)) == report_key(prank_per_leaf_oracle(f, budget=b))
 
 
 def test_prank_hit_on_two_word_quotients():
@@ -463,7 +469,7 @@ def test_prank_hit_on_two_word_quotients():
     C = np.zeros((5, 5, 5), dtype=np.int64)
     C[4], C[3] = g
     f = MultilinearMap(sh, 1, C.reshape(sh.dims + (1,)))
-    rep = prank_exact(f)
+    rep = prank_search(f)
     assert rep.exact and rep.prank == 2 and rep.witness.verify()
     assert report_key(rep) == report_key(prank_per_leaf_oracle(f))
     assert [sorted(s.subset) for s in rep.witness.summands] == [[1], [1]]
@@ -486,11 +492,11 @@ def test_leaf_chunk_across_prefixes_reads_every_side():
 
 def test_prank_leaves_counted_apart_from_units():
     f = random_multilinear(Shape(2, (3, 3, 4)), 1, [43, 2])
-    rep = prank_exact(f)
+    rep = prank_search(f)
     assert rep.exact and rep.nodes > rep.leaves > 1
     assert report_key(rep) == report_key(prank_per_leaf_oracle(f))
-    assert prank_exact(xyz()).leaves == 1
-    assert prank_exact(form(2, (2, 2), np.zeros(4))).leaves == 0
+    assert prank_search(xyz()).leaves == 1
+    assert prank_search(form(2, (2, 2), np.zeros(4))).leaves == 0
 
 
 def test_batch_size_changes_nothing(monkeypatch):
@@ -499,9 +505,9 @@ def test_batch_size_changes_nothing(monkeypatch):
     cases = [(planted_form(2, (4, 4, 4), 3, 65), DEFAULT_BUDGET), (planted_form(3, (3, 3, 3), 3, 1), DEFAULT_BUDGET),
              (random_multilinear(Shape(2, (4, 4, 4)), 1, [43, 0]), 3_000),
              (random_multilinear(Shape(2, (3, 3, 4)), 1, [43, 2]), DEFAULT_BUDGET)]
-    default = [report_key(prank_exact(f, budget=b)) for f, b in cases]
+    default = [report_key(prank_search(f, budget=b)) for f, b in cases]
     monkeypatch.setattr(partition, "BATCH_BYTES", 1)
-    assert [report_key(prank_exact(f, budget=b)) for f, b in cases] == default
+    assert [report_key(prank_search(f, budget=b)) for f, b in cases] == default
 
 
 def test_solve_disagreement_is_a_lemma_violation(monkeypatch):
@@ -526,3 +532,87 @@ def test_large_pool_is_not_materialized(tmp_path, capsys):
     assert out["prank_lo"] == out["lovett_lower"] >= 2
     assert out["nodes"] == 100 * out["prank_lo"]  # the first leaf, refused before any elimination
     assert peak < 64 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+#  The pair route at k = 3, against the search
+# ---------------------------------------------------------------------------
+
+ROUTE_SHAPES = [(2, (2, 2, 2)), (3, (2, 2, 2)), (5, (2, 2, 2)), (2, (2, 3, 4)), (2, (3, 3, 3)), (3, (3, 3, 3)),
+                (5, (2, 3, 3)), (2, (4, 3, 3)), (2, (4, 4, 4))]
+ROUTE_ORACLE_BUDGET = 400_000  # settles random (2,(4,4,4)) forms, which 200,000 leaves as intervals
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ROUTE_SHAPES), st.sampled_from([None, 1, 2, 3]), st.integers(0, 10_000))
+@example((2, (4, 4, 4)), None, 0)
+@example((2, (4, 4, 4)), 3, 65)
+@example((5, (2, 3, 3)), None, 3)
+@example((3, (3, 3, 3)), 2, 1)
+def test_pair_route_matches_search(shape, planted, seed):
+    p, dims = shape
+    f = random_multilinear(Shape(p, dims), 1, [61, seed]) if planted is None else planted_form(p, dims, planted, seed)
+    rep = prank_exact(f)
+    oracle = prank_search(f, r_max=8, budget=ROUTE_ORACLE_BUDGET)
+    assert rep.exact and rep.lovett_lower == oracle.lovett_lower <= rep.prank_lo
+    if oracle.exact:
+        assert rep.prank == oracle.prank
+    else:
+        assert oracle.prank_lo <= rep.prank <= oracle.prank_hi
+    assert len(rep.witness) == rep.prank and rep.witness.verify()
+    if planted is not None:
+        assert rep.prank <= planted
+
+
+def test_pair_route_examples():
+    # T = x1 y1 z1 + x2 y2 z2 + x3 y3 z3 (the diagonal tensor) has slice rank 3 at every p;
+    # on (2,(5,5,5)) the route settles a random form the search leaves at [4, 64-69]
+    for p in (2, 3):
+        C = np.zeros((3, 3, 3), dtype=np.int64)
+        C[range(3), range(3), range(3)] = 1
+        rep = prank_exact(form(p, (3, 3, 3), C))
+        assert rep.exact and rep.prank == 3 and rep.witness.verify()
+    rep = prank_exact(random_multilinear(Shape(2, (5, 5, 5)), 1, [61, 0]))
+    assert rep.exact and rep.prank == 5 and len(rep.witness) == 5 and rep.witness.verify()
+    assert rep.nodes == rep.leaves == 0 and rep.pairs == 44_951
+    # rank 1 is detected first, as one node and one leaf, and reads no pair
+    rep = prank_exact(xyz())
+    assert (rep.prank, rep.nodes, rep.leaves, rep.pairs) == (1, 1, 1, 0)
+
+
+def test_pair_route_prices_shapes():
+    guard = forms.DEFAULT_ENUM_GUARD
+    assert pair_route_entries(Shape(2, (4, 4, 4))) == 37_524
+    assert pair_route_entries(Shape(2, (5, 5, 5))) <= guard < pair_route_entries(Shape(2, (6, 6, 6)))
+    assert pair_route_entries(Shape(3, (4, 4, 4))) <= guard < pair_route_entries(Shape(2, (10, 10, 10)))
+
+
+def test_priced_out_forms_take_the_search(monkeypatch):
+    # (2,(6,6,6)) is past the default guard; (2,(3,3,3)) is priced out by a guard one
+    # entry short of its 993, which still admits the search's 27 x 36 quotient systems
+    f = planted_form(2, (6, 6, 6), 3, 2)
+    assert report_key(prank_exact(f, budget=3_000)) == report_key(prank_search(f, budget=3_000))
+    g = random_multilinear(Shape(2, (3, 3, 3)), 1, [61, 1])
+    monkeypatch.setattr(forms, "DEFAULT_ENUM_GUARD", pair_route_entries(g.shape) - 1)
+    rep = prank_exact(g)
+    assert rep.pairs == 0 and rep.nodes > 1
+    assert report_key(rep) == report_key(prank_search(g))
+    # k = 2 and k = 4 forms never take the route
+    for h in (random_multilinear(Shape(3, (3, 3)), 1, [61, 2]), random_multilinear(Shape(2, (2, 2, 2, 2)), 1, [61, 3])):
+        assert report_key(prank_exact(h)) == report_key(prank_search(h))
+
+
+def test_pair_route_batch_size_changes_nothing(monkeypatch):
+    forms_ = [random_multilinear(Shape(2, (4, 4, 4)), 1, [61, 4]), planted_form(3, (3, 3, 3), 2, 5),
+              planted_form(2, (3, 4, 4), 3, 6)]
+    default = [report_key(prank_exact(f)) + (prank_exact(f).pairs,) for f in forms_]
+    monkeypatch.setattr(partition, "BATCH_BYTES", 1)
+    assert [report_key(prank_exact(f)) + (prank_exact(f).pairs,) for f in forms_] == default
+
+
+def test_pair_route_solve_disagreement_is_a_lemma_violation(monkeypatch):
+    C = np.zeros((2, 2, 2), dtype=np.int64)
+    C[0, 0, 0] = C[1, 1, 1] = 1
+    monkeypatch.setattr(linalg, "solve", lambda A, b, p: None)
+    with pytest.raises(LemmaViolationError):
+        prank_exact(form(2, (2, 2, 2), C))
