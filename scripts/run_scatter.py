@@ -16,12 +16,12 @@ from pathlib import Path
 from rankforge.cli import main as cli_main
 
 CONFIGS = [
-    # (p, dims, exhaustive, count, rmax)
-    (2, "2,2", True, 0, 4),
-    (2, "2,2,2", True, 0, 6),
-    (3, "2,2,2", True, 0, 6),
-    (2, "3,3", False, 200, 4),
-    (3, "2,2", False, 200, 4),
+    # (p, dims, exhaustive, count)
+    (2, "2,2", True, 0),
+    (2, "2,2,2", True, 0),
+    (3, "2,2,2", True, 0),
+    (2, "3,3", False, 200),
+    (3, "2,2", False, 200),
 ]
 
 
@@ -29,20 +29,14 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="scatter_out")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--budget-nodes", type=int, default=200_000)
     args = ap.parse_args()
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for p, dims, exhaustive, count, rmax in CONFIGS:
+    for p, dims, exhaustive, count in CONFIGS:
         tag = f"p{p}_dims{dims.replace(',', 'x')}" + ("_exhaustive" if exhaustive else f"_n{count}")
         out = outdir / f"scatter_{tag}.csv"
-        argv = [
-            "scatter", "--p", str(p), "--dims", dims,
-            "--seed", str(args.seed), "--rmax", str(rmax),
-            "--budget-nodes", str(args.budget_nodes),
-            "--out", str(out),
-        ]
+        argv = ["scatter", "--p", str(p), "--dims", dims, "--seed", str(args.seed), "--out", str(out)]
         argv += ["--exhaustive"] if exhaustive else ["--count", str(count)]
         code = cli_main(argv)
         if code != 0:

@@ -1,6 +1,6 @@
 """rankforge: exact desk-scale computations for multilinear forms over prime fields."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import DomainSizeError, LemmaViolationError
 from .field import is_prime

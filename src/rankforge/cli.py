@@ -154,7 +154,7 @@ def cmd_prank(args) -> int:
     rep = prank_exact(f, r_max=args.rmax, budget=args.budget_nodes)
     payload = {"version": __version__, **_rank_payload(rep)}
     if rep.exact:
-        summary = f"prank {rep.prank} (lovett lower {rep.lovett_lower}, {rep.nodes} nodes)"
+        summary = f"prank {rep.prank} (lovett lower {rep.lovett_lower}, {rep.nodes} nodes, {rep.pairs} pairs)"
     else:
         summary = f"prank in [{rep.prank_lo}, {rep.prank_hi}]: {rep.truncated_reason}"
     _emit(payload, args.out, summary if args.summary else None)

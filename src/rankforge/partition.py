@@ -14,10 +14,11 @@ with W_1 and W_2 in the two smallest coordinates.  The pair route
 equal dimensions, by c = codim W_1 + codim W_2, one contraction and one
 batched rank read per batch of a group, and stops once c reaches the best
 total or the total reaches the analytic lower bound.  Its witness
-(`_pair_witness`) takes normalized bases of W_1^perp, W_2^perp and W_3^perp
-as linear factors and solves once for the other factors.  The route prices
-itself first (`pair_route_entries`); a shape it cannot afford within
-`forms.DEFAULT_ENUM_GUARD`, and every k != 3, goes to the search.
+(`_pair_witness`) has one summand per reduced basis vector of W_1^perp,
+W_2^perp and W_3^perp, whose other factor is a slice of T, projected onto
+W_i one axis at a time.  The route prices itself first (`pair_route_entries`);
+a shape it cannot afford within `forms.DEFAULT_ENUM_GUARD`, and every k != 3,
+goes to the search.
 
 The search (`prank_search`) runs iterative deepening over combinations of
 candidate summands.  A candidate fixes the bipartition I | [k]-I (canonically
@@ -123,13 +124,16 @@ class RankReport:
 
     prank_lo: int
     prank_hi: int
-    exact: bool
     witness: PartitionDecomposition | None
     lovett_lower: int
     nodes: int  # budget units: solver unknowns summed over the leaves checked
     truncated_reason: str | None = None
     leaves: int = 0  # leaves checked, a rank-1 check counting 1
     pairs: int = 0  # (W_1, W_2) rank reads of the pair route
+
+    @property
+    def exact(self) -> bool:
+        return self.prank_lo == self.prank_hi
 
     @property
     def prank(self) -> int | None:
@@ -431,48 +435,43 @@ def _best_pair(alpha: MultilinearMap, lovett: int):
     return best, bases, pairs
 
 
-def _dual_basis(B: np.ndarray, p: int) -> np.ndarray:
-    """The reduced row echelon basis of W^perp = {v : B v = 0} for the rows B
-    of a basis of W: normalized linear forms whose common kernel is W."""
-    if not len(B):
-        return np.eye(B.shape[1], dtype=np.int64)
-    return _row_basis(linalg.nullspace(B, p), p)
-
-
-def _row_basis(M: np.ndarray, p: int) -> np.ndarray:
-    """The nonzero rows of M's reduced row echelon form."""
-    if not len(M):
-        return M
-    R, pivots = linalg.row_echelon(M, p)
-    return R[: len(pivots)]
-
-
 def _pair_witness(alpha: MultilinearMap, bases) -> list:
-    """Summands l(x_i) g(x_rest), one per normalized form l of a basis of
+    """Summands l(x_i) g(x_rest), one per row l of the reduced basis of
     W_1^perp, W_2^perp and W_3^perp, the row space of T(W_1, W_2, .), for the
-    reduced bases (B_1, B_2) of `_best_pair`.  T vanishes on W_1 x W_2 x W_3,
-    so it lies in the span of the blocks l x (the other coordinates); each l
-    is a pool entry (`_Side`) on the bipartition that splits off its
-    coordinate, and one `linalg.solve` gives the g's
-    (`_witness_from_solution`)."""
+    reduced bases (B_1, B_2) of `_best_pair`.  Axis by axis, with q the pivot
+    columns of a basis L and E the unit columns at q, x = E L x + P x where
+    P = I - E L maps onto W_i: so T = sum_l l(x_i) T[q_l] + T(P x_i, .), each
+    g is the slice of T at a pivot, and T becomes T(P .), one `forms.contract`.
+    T vanishes on W_1 x W_2 x W_3, so nothing may be left after the third
+    axis.  The linear factors are normalized; a summand's subset holds
+    coordinate 1, in the order {1}, {1,2}, {1,3}."""
     shape, p = alpha.shape, alpha.shape.p
     a, b, c = _pair_axes(shape)
     B1, B2 = bases
+    T = alpha.coeffs[..., 0]
     W3 = np.zeros((0, shape.dims[c]), dtype=np.int64)
     if len(B1) and len(B2):
-        W3 = contract(alpha.coeffs[..., 0].transpose(a, b, c), [B1, B2], p)
-    duals = {a + 1: _dual_basis(B1, p), b + 1: _dual_basis(B2, p), c + 1: _row_basis(W3, p)}
-    combo = []
-    for I in canonical_subsets(3):
-        comp = _complement(shape, I)
-        (coord,) = I if len(I) == 1 else comp
-        width = int(np.prod([shape.dims[i - 1] for i in sorted(comp if len(I) == 1 else I)]))
-        side = _Side(I, len(I) == 1, duals[coord], width)
-        combo += [(side, row) for row in range(len(side.factors))]
-    x = linalg.solve(np.hstack([side.block(shape, row) for side, row in combo]), alpha.coeffs[..., 0].reshape(-1), p)
-    if x is None:
+        W3 = contract(T.transpose(a, b, c), [B1, B2], p)
+    perps = {a: linalg.nullspace(B1, p), b: linalg.nullspace(B2, p), c: W3}
+    summands = {}
+    for i in (a, b, c):
+        R, q = linalg.row_echelon(perps[i], p)
+        L = R[: len(q)]  # the reduced basis of W_i^perp, with pivot columns q
+        rest = [j + 1 for j in range(3) if j != i]
+        Ti = np.moveaxis(T, i, 0)
+        summands[i] = []
+        for l, g in zip(L, Ti[q]):
+            if g.any():
+                lin = MultilinearMap(shape.sub([i + 1]), 1, l.reshape(-1, 1))
+                bil = MultilinearMap(shape.sub(rest), 1, g[..., None])
+                summands[i].append(PartitionSummand(frozenset([1]), lin, bil) if i == 0
+                                   else PartitionSummand(frozenset(rest), bil, lin))
+        P = np.eye(len(Ti), dtype=np.int64)  # I - E L
+        P[q] -= L
+        T = np.moveaxis(contract(Ti, [P.T % p], p).reshape(Ti.shape), 0, i)
+    if T.any():
         raise LemmaViolationError("the pair route's form does not vanish on its subspaces")
-    return _witness_from_solution(shape, combo, x)
+    return summands[0] + summands[2] + summands[1]
 
 
 def _checked(alpha: MultilinearMap) -> RankReport | None:
@@ -480,7 +479,7 @@ def _checked(alpha: MultilinearMap) -> RankReport | None:
     if not alpha.scalar:
         raise ValueError("needs a scalar form")
     if alpha.is_zero():
-        return RankReport(0, 0, True, PartitionDecomposition(alpha, []), 0, 0)
+        return RankReport(0, 0, PartitionDecomposition(alpha, []), 0, 0)
     if alpha.shape.k < 2:
         raise ValueError("partition rank of a nonzero form needs arity k >= 2")
     return None
@@ -508,14 +507,14 @@ def prank_exact(alpha: MultilinearMap, r_max: int = 6, budget: int = DEFAULT_BUD
     if rank1_checked:
         w = is_partition_rank_le1(alpha)
         if w is not None:
-            return RankReport(1, 1, True, PartitionDecomposition(alpha, [w]), lovett, 1, leaves=1)
+            return RankReport(1, 1, PartitionDecomposition(alpha, [w]), lovett, 1, leaves=1)
     best, bases, pairs = _best_pair(alpha, lovett)
     witness = PartitionDecomposition(alpha, _pair_witness(alpha, bases))
     if len(witness) != best or not witness.verify():
-        raise LemmaViolationError(f"the pair route's solve does not give a witness of its rank {best}")
+        raise LemmaViolationError(f"the pair route's projection does not give a witness of its rank {best}")
     if best < lovett:
         raise LemmaViolationError("pair route below the analytic lower bound")
-    return RankReport(best, best, True, witness, lovett, int(rank1_checked), leaves=int(rank1_checked), pairs=pairs)
+    return RankReport(best, best, witness, lovett, int(rank1_checked), leaves=int(rank1_checked), pairs=pairs)
 
 
 def prank_search(alpha: MultilinearMap, r_max: int = 6, budget: int = DEFAULT_BUDGET) -> RankReport:
@@ -707,10 +706,7 @@ def _search(alpha: MultilinearMap, lovett: int, r_max: int, budget: int) -> Rank
         try:
             found = search_depth(r)
         except _BudgetExhausted:
-            return RankReport(
-                proven_lo, hi, proven_lo == hi, trivial, lovett, used,
-                "node budget exhausted", leaves,
-            )
+            return RankReport(proven_lo, hi, trivial, lovett, used, "node budget exhausted", leaves)
         if found is not None:
             witness = PartitionDecomposition(alpha, found)
             if not witness.verify():
@@ -722,11 +718,11 @@ def _search(alpha: MultilinearMap, lovett: int, r_max: int, budget: int) -> Rank
                 # depths below r were searched exhaustively
                 if size != r:
                     raise LemmaViolationError(f"exhaustive search found a witness of size {size} at depth {r}")
-                return RankReport(r, r, True, witness, lovett, used, leaves=leaves)
+                return RankReport(r, r, witness, lovett, used, leaves=leaves)
             if size == proven_lo:
-                return RankReport(size, size, True, witness, lovett, used, leaves=leaves)
+                return RankReport(size, size, witness, lovett, used, leaves=leaves)
             return RankReport(
-                proven_lo, size, False, witness, lovett, used,
+                proven_lo, size, witness, lovett, used,
                 "witness found but some bipartition was not enumerable", leaves,
             )
         # rank-1 detection at depth 1 is complete regardless of the pool
@@ -737,7 +733,7 @@ def _search(alpha: MultilinearMap, lovett: int, r_max: int, budget: int) -> Rank
         if complete
         else "some bipartition has no desk-scale factor side"
     )
-    return RankReport(proven_lo, hi, proven_lo == hi, trivial, lovett, used, reason, leaves)
+    return RankReport(proven_lo, hi, trivial, lovett, used, reason, leaves)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from rankforge.forms import (
     random_multiaffine,
     random_multilinear,
 )
+from rankforge.partition import prank_exact
 
 
 def write_map(tmp_path, f, name="m.json"):
@@ -63,6 +64,19 @@ def test_prank_xyz(tmp_path, capsys):
     w = payload["witness"][0]
     assert w["subset"] == [1]
     assert w["beta"]["p"] == 2
+
+
+def test_prank_summary_reports_route_pairs(tmp_path, capsys):
+    # a k = 3 route answer spends no search node; --summary names its rank reads on stderr only
+    f = random_multilinear(Shape(2, (3, 3, 3)), 1, [61, 0])
+    path = write_map(tmp_path, f)
+    assert main(["prank", "--map", path]) == 0
+    plain = capsys.readouterr()
+    assert main(["prank", "--map", path, "--summary"]) == 0
+    summarized = capsys.readouterr()
+    rep = prank_exact(f)
+    assert rep.pairs > 0 and summarized.out == plain.out and not plain.err
+    assert summarized.err == f"prank {rep.prank} (lovett lower {rep.lovett_lower}, 0 nodes, {rep.pairs} pairs)\n"
 
 
 def test_boxnorm(tmp_path, capsys):

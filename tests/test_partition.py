@@ -57,6 +57,13 @@ def xyz(p=2):
     return form(p, (1, 1, 1), [1])
 
 
+def diagonal(p, n):
+    """x_1 y_1 z_1 + ... + x_n y_n z_n, of slice rank n at every p."""
+    C = np.zeros((n, n, n), dtype=np.int64)
+    C[range(n), range(n), range(n)] = 1
+    return form(p, (n, n, n), C)
+
+
 def test_canonical_subsets():
     assert canonical_subsets(2) == [frozenset([1])]
     assert canonical_subsets(3) == [frozenset([1]), frozenset([1, 2]), frozenset([1, 3])]
@@ -361,7 +368,7 @@ def prank_per_leaf_oracle(alpha, r_max=6, budget=DEFAULT_BUDGET):
     before solving it; the witness and report rules are prank_exact's."""
     shape, p = alpha.shape, alpha.shape.p
     if alpha.is_zero():
-        return RankReport(0, 0, True, PartitionDecomposition(alpha, []), 0, 0)
+        return RankReport(0, 0, PartitionDecomposition(alpha, []), 0, 0)
     lovett = lovett_lower_bound(alpha)
     trivial = monomial_decomposition(alpha)
     hi = len(trivial)
@@ -374,7 +381,7 @@ def prank_per_leaf_oracle(alpha, r_max=6, budget=DEFAULT_BUDGET):
         if r == 1:
             used += 1
             if used > budget:
-                return RankReport(proven_lo, hi, proven_lo == hi, trivial, lovett, used, "node budget exhausted", leaves)
+                return RankReport(proven_lo, hi, trivial, lovett, used, "node budget exhausted", leaves)
             leaves += 1
             w = is_partition_rank_le1(alpha)
             found = [w] if w is not None else None
@@ -383,7 +390,7 @@ def prank_per_leaf_oracle(alpha, r_max=6, budget=DEFAULT_BUDGET):
                 combo = [pool[i] for i in idxs]
                 used += sum(e[3].shape[1] for e in combo)
                 if used > budget:
-                    return RankReport(proven_lo, hi, proven_lo == hi, trivial, lovett, used, "node budget exhausted", leaves)
+                    return RankReport(proven_lo, hi, trivial, lovett, used, "node budget exhausted", leaves)
                 leaves += 1
                 x = linalg.solve(np.hstack([e[3] for e in combo]), target, p)
                 if x is not None:
@@ -393,15 +400,15 @@ def prank_per_leaf_oracle(alpha, r_max=6, budget=DEFAULT_BUDGET):
             witness = PartitionDecomposition(alpha, found)
             size = len(witness)
             if complete or size == proven_lo:
-                return RankReport(size, size, True, witness, lovett, used, leaves=leaves)
-            return RankReport(proven_lo, size, False, witness, lovett, used,
+                return RankReport(size, size, witness, lovett, used, leaves=leaves)
+            return RankReport(proven_lo, size, witness, lovett, used,
                               "witness found but some bipartition was not enumerable", leaves)
         if r == 1 or complete:
             proven_lo = r + 1
     reason = None if proven_lo == hi else (
         f"search truncated at r_max={min(r_max, hi)}" if complete else "some bipartition has no desk-scale factor side"
     )
-    return RankReport(proven_lo, hi, proven_lo == hi, trivial, lovett, used, reason, leaves)
+    return RankReport(proven_lo, hi, trivial, lovett, used, reason, leaves)
 
 
 def planted_form(p, dims, rank, seed):
@@ -568,9 +575,7 @@ def test_pair_route_examples():
     # T = x1 y1 z1 + x2 y2 z2 + x3 y3 z3 (the diagonal tensor) has slice rank 3 at every p;
     # on (2,(5,5,5)) the route settles a random form the search leaves at [4, 64-69]
     for p in (2, 3):
-        C = np.zeros((3, 3, 3), dtype=np.int64)
-        C[range(3), range(3), range(3)] = 1
-        rep = prank_exact(form(p, (3, 3, 3), C))
+        rep = prank_exact(diagonal(p, 3))
         assert rep.exact and rep.prank == 3 and rep.witness.verify()
     rep = prank_exact(random_multilinear(Shape(2, (5, 5, 5)), 1, [61, 0]))
     assert rep.exact and rep.prank == 5 and len(rep.witness) == 5 and rep.witness.verify()
@@ -610,9 +615,48 @@ def test_pair_route_batch_size_changes_nothing(monkeypatch):
     assert [report_key(prank_exact(f)) + (prank_exact(f).pairs,) for f in forms_] == default
 
 
-def test_pair_route_solve_disagreement_is_a_lemma_violation(monkeypatch):
-    C = np.zeros((2, 2, 2), dtype=np.int64)
-    C[0, 0, 0] = C[1, 1, 1] = 1
-    monkeypatch.setattr(linalg, "solve", lambda A, b, p: None)
-    with pytest.raises(LemmaViolationError):
-        prank_exact(form(2, (2, 2, 2), C))
+def test_pair_route_remainder_is_a_lemma_violation(monkeypatch):
+    # a basis of W_1^perp one form short projects onto more than W_1, and the
+    # form does not vanish there
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda A, p: nullspace(A, p)[:-1])
+    with pytest.raises(LemmaViolationError, match="does not vanish"):
+        prank_exact(diagonal(2, 2))
+
+
+def test_pair_route_short_witness_is_a_lemma_violation(monkeypatch):
+    best_pair = partition._best_pair
+
+    def understated(alpha, lovett):
+        best, bases, pairs = best_pair(alpha, lovett)
+        return best - 1, bases, pairs
+
+    monkeypatch.setattr(partition, "_best_pair", understated)
+    with pytest.raises(LemmaViolationError, match="witness of its rank 1"):
+        prank_exact(diagonal(2, 2))
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.sampled_from(ROUTE_SHAPES), st.data())
+def test_pair_witness_at_any_pair(shape, data):
+    # the projection gives a witness at every pair (W_1, W_2), not only at the minimizing one
+    p, dims = shape
+    f = random_multilinear(Shape(p, dims), 1, [61, data.draw(st.integers(0, 10_000))])
+    a, b, c = sorted(range(3), key=lambda i: (dims[i], i))
+    bases = []
+    for n in (dims[a], dims[b]):
+        S = forms.subspaces(p, n, data.draw(st.integers(0, n)))
+        bases.append(S[data.draw(st.integers(0, len(S) - 1))])
+    T = f.coeffs[..., 0].transpose(a, b, c)
+    B1, B2 = bases
+    rank = matrix_rank(np.einsum("ia,jb,abc->ijc", B1, B2, T).reshape(-1, dims[c]) % p, p)
+    witness = PartitionDecomposition(f, partition._pair_witness(f, bases))
+    assert witness.verify()
+    assert len(witness) <= dims[a] - len(B1) + dims[b] - len(B2) + rank
+    # the subsets hold coordinate 1, in the order {1}, {1,2}, {1,3}, and the linear factors are normalized
+    order = [canonical_subsets(3).index(s.subset) for s in witness.summands]
+    assert order == sorted(order)
+    for s in witness.summands:
+        linear = s.beta if s.subset == frozenset([1]) else s.gamma
+        lead = linear.coeffs.ravel()[np.flatnonzero(linear.coeffs)[0]]
+        assert linear.shape.k == 1 and lead == 1
